@@ -66,12 +66,32 @@ class SineSeries:
         return float(abs(self.coeffs[-1]))
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
+        """Direct sum at arbitrary points; sample_grid is faster on x_j = j/n."""
         xs = np.asarray(xs, dtype=float)
         ks = np.arange(1, self.k_max + 1)
         return np.sin(np.multiply.outer(xs, ks * PI)) @ self.coeffs
 
+    def sample_grid(self, n: int) -> np.ndarray:
+        """Values at x_j = j/n, j = 0..n, from one FFT of length 2n (a DST-I).
+
+        sin(pi k j/n) has period 2n in k, so the coefficients fold onto
+        c[k mod 2n] (aliasing K >= 2n exactly), and with F = fft(c)
+        w_j = (F[-j] - F[j]) / 2i.  w_0 and w_n are exactly 0.
+        """
+        if n < 1:
+            raise ConfigError("grid size must be positive")
+        period = 2 * n
+        rows = self.k_max // period + 1  # index 0 (k = 0) through K, padded
+        folded = np.zeros(rows * period, dtype=complex)
+        folded[1 : self.k_max + 1] = self.coeffs
+        f = np.fft.fft(folded.reshape(rows, period).sum(axis=0))
+        j = np.arange(n + 1)
+        out = (f[-j] - f[j]) / 2j
+        out[0] = out[n] = 0.0
+        return out
+
     def on_grid(self, n: int) -> Potential:
-        return Potential(self.evaluate(np.linspace(0.0, 1.0, n + 1)))
+        return Potential(self.sample_grid(n))
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,9 @@ class GrowthReport:
     passed: bool
 
 
-def delta_from_spectrum(spec: Spectrum, lam: complex, n_trunc: int) -> complex:
+def delta_from_spectrum(
+    spec: Spectrum, lam: complex | np.ndarray, n_trunc: int
+) -> complex | np.ndarray:
     """Rebuild Delta(lambda) from eigenvalues by the truncated ratio product.
 
     Delta0(lambda) * prod_{n < n_trunc} (lambda_n - lambda)/(lambda_n^0 - lambda);
@@ -177,53 +179,79 @@ def delta_from_spectrum(spec: Spectrum, lam: complex, n_trunc: int) -> complex:
     reference zero are handled analytically: a matching degenerate eigenvalue
     turns its factor into 1, otherwise the pole is cancelled against the zero
     of Delta0 of the corresponding multiplicity.
+
+    lam is a scalar (a complex comes back) or a 1-D array of K points (an
+    array of K values comes back); all points share one K x n_trunc ratio
+    array, and each value is bit-identical to the call with that point alone.
     """
-    lam = complex(lam)
     if n_trunc < 1 or n_trunc > len(spec):
         raise ConfigError("n_trunc must be between 1 and the spectrum length")
+    pts = np.asarray(lam, dtype=complex)
+    if pts.ndim > 1:
+        raise ConfigError("evaluation points must be a scalar or a 1-D array")
+    scalar = pts.ndim == 0
+    pts = np.atleast_1d(pts)
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError("evaluation points must be finite")
     gamma = spec.config.gamma
     alpha = spec.alpha
-    tol = _COLLISION_RTOL * (1.0 + abs(lam))
+    mag = np.hypot(pts.real, pts.imag)  # rounds exactly as abs() of a complex
+    tol = _COLLISION_RTOL * (1.0 + mag)
+    n_scan = np.maximum(n_trunc, (np.sqrt(mag) / PI).astype(int) + 3)
 
-    refs = reference_lambda_array(n_trunc, alpha)
+    refs_all = reference_lambda_array(int(n_scan.max(initial=n_trunc)), alpha)
+    refs = refs_all[:n_trunc]
     lams = spec.values[:n_trunc]
-    diff = refs - lam
-    colliding = np.abs(diff) <= tol
+    diff = refs - pts[:, None]
+    num = lams - pts[:, None]
+    colliding = np.abs(diff) <= tol[:, None]
 
-    z_mult = int(np.count_nonzero(colliding))
-    poles = int(np.count_nonzero(colliding & (np.abs(lams - lam) > tol)))
+    z_mult = np.count_nonzero(colliding, axis=1)
+    poles = np.count_nonzero(colliding & (np.abs(num) > tol[:, None]), axis=1)
+    zero = poles < z_mult  # an uncancelled zero of Delta0 survives
 
     # A collision beyond the truncation is fatal unless a degenerate head
     # collision already pins the value to zero (then extra reference zeros
     # cannot change it).
-    n_scan = max(n_trunc, int(np.sqrt(abs(lam)) / PI) + 3)
-    for n in range(n_trunc, n_scan):
-        if abs(reference_lambda(n, alpha) - lam) <= tol:
-            if z_mult - poles >= 1:
-                return 0.0 + 0.0j
-            raise PoleInTailError(n)
+    for i in np.flatnonzero((n_scan > n_trunc) & ~zero):
+        hits = np.flatnonzero(np.abs(refs_all[n_trunc : n_scan[i]] - pts[i]) <= tol[i])
+        if len(hits):
+            raise PoleInTailError(n_trunc + int(hits[0]))
 
-    if z_mult == 0:
-        # eigenvalues stored exactly at their reference make the factor 1
-        # identically; complex z/z would leave ~1 ulp of imaginary residue
-        ratios = np.where(lams == refs, 1.0 + 0.0j, (lams - lam) / diff)
-        return complex(delta0(lam, gamma) * np.prod(ratios))
-    if poles < z_mult:
-        return 0.0 + 0.0j  # an uncancelled zero of Delta0 survives
+    # colliding entries keep the pole factor lambda_n - lambda, paired
+    # against a Delta0 zero
+    ratios = num / np.where(colliding, 1.0, diff)
+    ratios[colliding] = num[colliding]
+    # eigenvalues stored exactly at their reference make the factor 1
+    # identically; complex z/z would leave ~1 ulp of imaginary residue
+    ratios[(z_mult == 0)[:, None] & (lams == refs)] = 1.0
+    prods = np.prod(ratios, axis=1)
 
-    value = 1.0 + 0.0j
-    for n in range(n_trunc):
-        if colliding[n]:
-            value *= lams[n] - lam  # pole factor, paired against a Delta0 zero
-        else:
-            value *= (lams[n] - lam) / diff[n]
-    if poles == 1:
-        limit = -delta0_d1(lam, gamma)
-    elif poles == 2:
-        limit = delta0_d2(lam, gamma)
-    else:  # pragma: no cover - reference zeros are at most double
-        raise ConfigError("reference zero of multiplicity > 2 encountered")
-    return complex(limit * value)
+    out = np.zeros(len(pts), dtype=complex)
+    for i in np.flatnonzero(~zero):
+        lam_i = complex(pts[i])
+        if z_mult[i] == 0:
+            limit = delta0(lam_i, gamma)
+        elif poles[i] == 1:
+            limit = -delta0_d1(lam_i, gamma)
+        elif poles[i] == 2:
+            limit = delta0_d2(lam_i, gamma)
+        else:  # pragma: no cover - reference zeros are at most double
+            raise ConfigError("reference zero of multiplicity > 2 encountered")
+        # a scalar multiply: numpy's array complex multiply may round
+        # differently, and the per-point value must not depend on K
+        out[i] = limit * prods[i]
+    return complex(out[0]) if scalar else out
+
+
+def _sample_points(k_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices k = 1..K and the interleaved sample points lambda = (pi k)^2.
+
+    The points use Python's float power, which numpy's square does not
+    match bit for bit on every k.
+    """
+    ks = np.arange(1, k_terms + 1)
+    return ks, np.array([(PI * k) ** 2 for k in range(1, k_terms + 1)])
 
 
 def recover_w(spec: Spectrum, k_terms: int, n_trunc: int) -> SineSeries:
@@ -231,13 +259,9 @@ def recover_w(spec: Spectrum, k_terms: int, n_trunc: int) -> SineSeries:
     if k_terms < 1:
         raise ConfigError("k_terms must be positive")
     gamma = spec.config.gamma
-    coeffs = np.empty(k_terms, dtype=complex)
-    for k in range(1, k_terms + 1):
-        lam = (PI * k) ** 2
-        coeffs[k - 1] = 2.0 * PI * k * (
-            delta0(lam, gamma) - delta_from_spectrum(spec, lam, n_trunc)
-        )
-    return SineSeries(coeffs)
+    ks, lams = _sample_points(k_terms)
+    free = np.array([delta0(lam, gamma) for lam in lams])
+    return SineSeries(2.0 * PI * ks * (free - delta_from_spectrum(spec, lams, n_trunc)))
 
 
 def check_degeneration(spec: Spectrum, tol: float = 1e-9) -> bool:
@@ -276,9 +300,55 @@ def algorithm1(
             "gamma = +-1 leaves half the spectrum uninformative; use algorithm2 "
             "with an auxiliary operator"
         )
-    w = recover_w(spec, k_terms, n_trunc)
-    ws = w.evaluate(np.linspace(0.0, 1.0, grid_n + 1))
+    ws = recover_w(spec, k_terms, n_trunc).sample_grid(grid_n)
     q_a = (gamma * ws - ws[::-1]) / (gamma**3 - gamma)
+    return unshift(Potential(q_a), config)
+
+
+def _degenerate_kernel(
+    spec: Spectrum,
+    config: FrozenConfig,
+    k_op: OperatorSpec,
+    k_terms: int,
+    n_trunc: int,
+    grid_n: int,
+) -> np.ndarray:
+    """Check a gamma = +-1 problem and its operator K, then sample w on the grid."""
+    gamma = config.gamma
+    if gamma not in (1, -1):
+        raise ConfigError("algorithm2 requires gamma = 1 or gamma = -1")
+    if grid_n % 2 != 0:
+        raise ConfigError("grid_n must be even")
+    if abs(k_op.domain_length - 0.5) > 1e-12:
+        raise ConfigError("operator for the one-spectrum problem acts on (0, 1/2)")
+    if not check_degeneration(spec):
+        raise InconsistentSpectrumError(
+            "odd-indexed eigenvalues violate the exact degeneration required for gamma = +-1"
+        )
+    k_op.ensure_invertible(gamma, grid_n // 2 + 1)
+
+    ws = recover_w(spec, k_terms, n_trunc).sample_grid(grid_n)
+    asym = _symmetry_residual(ws, gamma)
+    if asym > _CONSISTENCY_TOL * max(1.0, float(np.max(np.abs(ws)))):
+        raise InconsistentSpectrumError(
+            f"recovered w violates its gamma = {gamma} symmetry by {asym:.3e}"
+        )
+    return ws
+
+
+def _solve_halves(
+    ws: np.ndarray, config: FrozenConfig, k_op: OperatorSpec, grid_n: int
+) -> Potential:
+    """The operator solve of algorithm2 on a sampled kernel w."""
+    gamma = config.gamma
+    half = grid_n // 2
+    v = gamma * ws[half::-1]  # gamma * w(1/2 - x) on the half grid
+    u = k_op.solve_shifted(gamma, v)
+    left = k_op.apply(u)  # q_a(1/2 - x)
+    q_a = np.empty(grid_n + 1, dtype=complex)
+    q_a[: half + 1] = left[::-1]
+    idx = np.arange(1, half + 1)
+    q_a[half + idx] = v[idx] - gamma * left[idx]
     return unshift(Potential(q_a), config)
 
 
@@ -296,36 +366,36 @@ def algorithm2(
     q_a(1/2 - x) = K(q_a(1/2 + x)).  With bijective I + gamma*K the hidden
     half follows from w via q_a(1/2-x) = K((I + gamma K)^{-1}(gamma w(1/2-x))).
     """
-    gamma = config.gamma
-    if gamma not in (1, -1):
-        raise ConfigError("algorithm2 requires gamma = 1 or gamma = -1")
-    if grid_n % 2 != 0:
-        raise ConfigError("grid_n must be even")
-    if abs(k_op.domain_length - 0.5) > 1e-12:
-        raise ConfigError("operator for the one-spectrum problem acts on (0, 1/2)")
-    if not check_degeneration(spec):
-        raise InconsistentSpectrumError(
-            "odd-indexed eigenvalues violate the exact degeneration required for gamma = +-1"
-        )
-    half = grid_n // 2
-    k_op.ensure_invertible(gamma, half + 1)
+    ws = _degenerate_kernel(spec, config, k_op, k_terms, n_trunc, grid_n)
+    return _solve_halves(ws, config, k_op, grid_n)
 
-    w = recover_w(spec, k_terms, n_trunc)
-    ws = w.evaluate(np.linspace(0.0, 1.0, grid_n + 1))
-    asym = _symmetry_residual(ws, gamma)
-    if asym > _CONSISTENCY_TOL * max(1.0, float(np.max(np.abs(ws)))):
-        raise InconsistentSpectrumError(
-            f"recovered w violates its gamma = {gamma} symmetry by {asym:.3e}"
-        )
 
-    v = gamma * ws[half::-1]  # gamma * w(1/2 - x) on the half grid
-    u = k_op.solve_shifted(gamma, v)
-    left = k_op.apply(u)  # q_a(1/2 - x)
-    q_a = np.empty(grid_n + 1, dtype=complex)
-    q_a[: half + 1] = left[::-1]
-    idx = np.arange(1, half + 1)
-    q_a[half + idx] = v[idx] - gamma * left[idx]
-    return unshift(Potential(q_a), config)
+def _check_pair_degeneration(two: TwoSpectra):
+    for spec in (two.spec0, two.spec1):
+        if not check_degeneration(spec):
+            raise InconsistentSpectrumError(
+                "two-spectra data must carry exactly degenerate odd-indexed eigenvalues"
+            )
+
+
+def _pair_kernels(
+    two: TwoSpectra, k_terms: int, n_trunc: int, grid_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """w0 and w1 sampled on the grid, each recovered from its own spectrum."""
+    return (
+        recover_w(two.spec0, k_terms, n_trunc).sample_grid(grid_n),
+        recover_w(two.spec1, k_terms, n_trunc).sample_grid(grid_n),
+    )
+
+
+def _support_report(wsum: np.ndarray, j_start: int) -> GrowthReport:
+    """Largest |w0 + w1| on the open window between node j_start and x = 1."""
+    window = wsum[j_start + 1 : len(wsum) - 1]
+    viol = float(np.max(np.abs(window))) if len(window) else 0.0
+    scale = float(np.max(np.abs(wsum)))
+    return GrowthReport(
+        max_violation=viol, scale=scale, passed=viol <= _CONSISTENCY_TOL * max(1.0, scale)
+    )
 
 
 def algorithm3(two: TwoSpectra, k_terms: int, n_trunc: int, grid_n: int = 1024) -> Potential:
@@ -337,14 +407,8 @@ def algorithm3(two: TwoSpectra, k_terms: int, n_trunc: int, grid_n: int = 1024) 
     """
     if two.a not in (0.0, 1.0):
         raise ConfigError("algorithm3 handles the endpoint cases a = 0 and a = 1")
-    for spec in (two.spec0, two.spec1):
-        if not check_degeneration(spec):
-            raise InconsistentSpectrumError(
-                "two-spectra data must carry exactly degenerate odd-indexed eigenvalues"
-            )
-    xs = np.linspace(0.0, 1.0, grid_n + 1)
-    w0 = recover_w(two.spec0, k_terms, n_trunc).evaluate(xs)
-    w1 = recover_w(two.spec1, k_terms, n_trunc).evaluate(xs)
+    _check_pair_degeneration(two)
+    w0, w1 = _pair_kernels(two, k_terms, n_trunc, grid_n)
     q = (w0 + w1) / 2.0
     if two.a == 1.0:
         q = q[::-1].copy()
@@ -359,23 +423,52 @@ def check_growth(two: TwoSpectra, n_trunc: int, grid_n: int = 512) -> GrowthRepo
     a > 1/2 the mirrored problem applies and the window becomes (a, 1); both
     cases are the nodes right of max(a, 1-a).
     """
-    xs = np.linspace(0.0, 1.0, grid_n + 1)
-    k_terms = n_trunc
-    coeffs = np.empty(k_terms, dtype=complex)
-    for k in range(1, k_terms + 1):
-        lam = (PI * k) ** 2
-        total = delta_from_spectrum(two.spec0, lam, n_trunc) + delta_from_spectrum(
-            two.spec1, lam, n_trunc
-        )
-        coeffs[k - 1] = 2.0 * PI * k * (4.0 - total)
-    wsum = SineSeries(coeffs).evaluate(xs)
-    scale = float(np.max(np.abs(wsum)))
-    j_start = snap_index(max(two.a, 1.0 - two.a), grid_n)
-    window = wsum[j_start + 1 : grid_n]
-    viol = float(np.max(np.abs(window))) if len(window) else 0.0
-    return GrowthReport(
-        max_violation=viol, scale=scale, passed=viol <= _CONSISTENCY_TOL * max(1.0, scale)
+    ks, lams = _sample_points(n_trunc)
+    total = delta_from_spectrum(two.spec0, lams, n_trunc) + delta_from_spectrum(
+        two.spec1, lams, n_trunc
     )
+    wsum = SineSeries(2.0 * PI * ks * (4.0 - total)).sample_grid(grid_n)
+    return _support_report(wsum, snap_index(max(two.a, 1.0 - two.a), grid_n))
+
+
+def _interior_kernels(
+    two: TwoSpectra, p_op: OperatorSpec, k_terms: int, n_trunc: int, grid_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check an interior two-spectra problem and its operator P, then sample w0, w1."""
+    a = two.a
+    if not (0.0 < a <= 0.5):
+        raise ConfigError("algorithm4 requires a in (0, 1/2]; mirror the problem for a > 1/2")
+    j_a = snap_index(a, grid_n)
+    _check_pair_degeneration(two)
+    if abs(p_op.domain_length - a) > 1e-12:
+        raise ConfigError(f"operator domain length {p_op.domain_length} must equal a = {a}")
+    p_op.ensure_invertible(1.0, j_a + 1)
+
+    w0, w1 = _pair_kernels(two, k_terms, n_trunc, grid_n)
+    report = _support_report(w0 + w1, grid_n - j_a)
+    if not report.passed:
+        raise GrowthConditionError(
+            f"w0 + w1 reaches {report.max_violation:.3e} on (1-a, 1); "
+            "the spectra do not share a potential"
+        )
+    return w0, w1
+
+
+def _solve_interior(
+    w0: np.ndarray, w1: np.ndarray, a: float, p_op: OperatorSpec, grid_n: int
+) -> Potential:
+    """The operator solve of algorithm4 on sampled kernels w0, w1."""
+    j_a = snap_index(a, grid_n)
+    q = np.empty(grid_n + 1, dtype=complex)
+    rhs = w0[: j_a + 1]
+    u = p_op.solve_shifted(1.0, rhs)
+    left = p_op.apply(u)  # q(a - x)
+    q[: j_a + 1] = left[::-1]
+    idx = np.arange(1, j_a + 1)
+    q[j_a + idx] = rhs[idx] - left[idx]
+    tail = np.arange(2 * j_a + 1, grid_n + 1)
+    q[tail] = (w0[tail - j_a] + w1[tail - j_a]) / 2.0
+    return Potential(q)
 
 
 def algorithm4(
@@ -392,41 +485,8 @@ def algorithm4(
     p-independent mean (w0 + w1)/2 on (2a, 1).  Callers with a > 1/2 should
     mirror the problem first.
     """
-    a = two.a
-    if not (0.0 < a <= 0.5):
-        raise ConfigError("algorithm4 requires a in (0, 1/2]; mirror the problem for a > 1/2")
-    j_a = snap_index(a, grid_n)
-    for spec in (two.spec0, two.spec1):
-        if not check_degeneration(spec):
-            raise InconsistentSpectrumError(
-                "two-spectra data must carry exactly degenerate odd-indexed eigenvalues"
-            )
-    if abs(p_op.domain_length - a) > 1e-12:
-        raise ConfigError(f"operator domain length {p_op.domain_length} must equal a = {a}")
-    p_op.ensure_invertible(1.0, j_a + 1)
-
-    xs = np.linspace(0.0, 1.0, grid_n + 1)
-    w0 = recover_w(two.spec0, k_terms, n_trunc).evaluate(xs)
-    w1 = recover_w(two.spec1, k_terms, n_trunc).evaluate(xs)
-
-    wsum = w0 + w1
-    window = wsum[grid_n - j_a + 1 : grid_n]
-    viol = float(np.max(np.abs(window))) if len(window) else 0.0
-    if viol > _CONSISTENCY_TOL * max(1.0, float(np.max(np.abs(wsum)))):
-        raise GrowthConditionError(
-            f"w0 + w1 reaches {viol:.3e} on (1-a, 1); the spectra do not share a potential"
-        )
-
-    q = np.empty(grid_n + 1, dtype=complex)
-    rhs = w0[: j_a + 1]
-    u = p_op.solve_shifted(1.0, rhs)
-    left = p_op.apply(u)  # q(a - x)
-    q[: j_a + 1] = left[::-1]
-    idx = np.arange(1, j_a + 1)
-    q[j_a + idx] = rhs[idx] - left[idx]
-    tail = np.arange(2 * j_a + 1, grid_n + 1)
-    q[tail] = (w0[tail - j_a] + w1[tail - j_a]) / 2.0
-    return Potential(q)
+    w0, w1 = _interior_kernels(two, p_op, k_terms, n_trunc, grid_n)
+    return _solve_interior(w0, w1, two.a, p_op, grid_n)
 
 
 def isospectral_family(
@@ -437,12 +497,15 @@ def isospectral_family(
     n_trunc: int,
     grid_n: int = 1024,
 ) -> list[Potential]:
-    """All-iso-spectral construction: one potential per constant-operator profile."""
-    members = []
-    for p in p_list:
-        k_op = OperatorSpec.constant(np.asarray(p, dtype=complex), 0.5)
-        members.append(algorithm2(spec, config, k_op, k_terms, n_trunc, grid_n))
-    return members
+    """All-iso-spectral construction: one potential per constant-operator profile.
+
+    w is recovered and sampled once; the members differ only in the solve.
+    """
+    k_ops = [OperatorSpec.constant(np.asarray(p, dtype=complex), 0.5) for p in p_list]
+    if not k_ops:
+        return []
+    ws = _degenerate_kernel(spec, config, k_ops[0], k_terms, n_trunc, grid_n)
+    return [_solve_halves(ws, config, k_op, grid_n) for k_op in k_ops]
 
 
 def isobispectral_family(
@@ -452,9 +515,12 @@ def isobispectral_family(
     n_trunc: int,
     grid_n: int = 1024,
 ) -> list[Potential]:
-    """Iso-bispectral potentials sharing both spectra, one per profile on (0, a)."""
-    members = []
-    for p in p_list:
-        p_op = OperatorSpec.constant(np.asarray(p, dtype=complex), two.a)
-        members.append(algorithm4(two, p_op, k_terms, n_trunc, grid_n))
-    return members
+    """Iso-bispectral potentials sharing both spectra, one per profile on (0, a).
+
+    w0 and w1 are recovered and sampled once; the members differ only in the solve.
+    """
+    p_ops = [OperatorSpec.constant(np.asarray(p, dtype=complex), two.a) for p in p_list]
+    if not p_ops:
+        return []
+    w0, w1 = _interior_kernels(two, p_ops[0], k_terms, n_trunc, grid_n)
+    return [_solve_interior(w0, w1, two.a, p_op, grid_n) for p_op in p_ops]

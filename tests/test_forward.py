@@ -6,6 +6,7 @@ import pytest
 from conftest import sine_poly_potential, trig_poly_potential, window_flat_potential
 from frozenhill import (
     CharFn,
+    ConfigError,
     FrozenConfig,
     Potential,
     SineSeries,
@@ -291,3 +292,37 @@ class TestAsymptotics:
         assert res.last_quarter_energy < res.first_quarter_energy
         partial = np.cumsum(np.abs(res.kappa) ** 2)
         assert np.all(np.diff(partial) >= 0)
+
+
+class TestSineSeriesGrid:
+    @pytest.mark.parametrize(
+        "k_terms, n",
+        [(1, 16), (7, 16), (32, 16), (100, 16), (200, 1024)],  # K >= 2n folds (aliases)
+    )
+    def test_fft_synthesis_matches_direct_sum(self, k_terms, n):
+        rng = np.random.default_rng(k_terms)
+        series = SineSeries(rng.standard_normal(k_terms) + 1j * rng.standard_normal(k_terms))
+        fast = series.sample_grid(n)
+        direct = series.evaluate(np.linspace(0.0, 1.0, n + 1))
+        assert fast.shape == (n + 1,)
+        assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+        assert fast[0] == 0 and fast[n] == 0
+
+    def test_fft_synthesis_against_exact_phases(self):
+        # reducing k*j mod 2n in integers keeps the sine arguments exact
+        rng = np.random.default_rng(5)
+        n, k_terms = 64, 300
+        b = rng.standard_normal(k_terms) + 1j * rng.standard_normal(k_terms)
+        j = np.arange(n + 1)[:, None]
+        k = np.arange(1, k_terms + 1)[None, :]
+        exact = np.sin(PI * ((k * j) % (2 * n)) / n) @ b
+        got = SineSeries(b).sample_grid(n)
+        assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+    def test_on_grid_uses_grid_synthesis(self):
+        series = SineSeries(np.array([1.0, 0.5j]))
+        assert np.array_equal(series.on_grid(32).samples, series.sample_grid(32))
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ConfigError):
+            SineSeries(np.array([1.0])).sample_grid(0)

@@ -8,6 +8,7 @@ from conftest import (
     half_ratio_potential,
     potential_from_w_coeffs,
     sine_poly_potential,
+    trig_poly_potential,
     window_flat_potential,
 )
 from frozenhill import (
@@ -40,6 +41,7 @@ from frozenhill import (
     reference_lambda,
     rel_l2_error,
 )
+from frozenhill.core import delta0_d1, delta0_d2
 
 PI = np.pi
 
@@ -57,7 +59,75 @@ def forward_pair(q, a, m):
     return TwoSpectra(spec0=s0, spec1=s1, a=a)
 
 
+def delta_pointwise(spec, lam, n_trunc):
+    """One point at a time, in scalar arithmetic: the reference for the array form."""
+    lam = complex(lam)
+    tol = 1e-8 * (1.0 + abs(lam))
+    refs = np.array([reference_lambda(n, spec.alpha) for n in range(n_trunc)])
+    lams = spec.values[:n_trunc]
+    diff = refs - lam
+    colliding = np.abs(diff) <= tol
+    z_mult = int(np.count_nonzero(colliding))
+    poles = int(np.count_nonzero(colliding & (np.abs(lams - lam) > tol)))
+    for n in range(n_trunc, max(n_trunc, int(np.sqrt(abs(lam)) / PI) + 3)):
+        if abs(reference_lambda(n, spec.alpha) - lam) <= tol:
+            if z_mult - poles >= 1:
+                return 0j
+            raise PoleInTailError(n)
+    gamma = spec.config.gamma
+    if z_mult == 0:
+        ratios = np.where(lams == refs, 1.0 + 0.0j, (lams - lam) / diff)
+        return complex(delta0(lam, gamma) * np.prod(ratios))
+    if poles < z_mult:
+        return 0j
+    value = 1.0 + 0.0j
+    for n in range(n_trunc):
+        value *= (lams[n] - lam) if colliding[n] else (lams[n] - lam) / diff[n]
+    limit = -delta0_d1(lam, gamma) if poles == 1 else delta0_d2(lam, gamma)
+    return complex(limit * value)
+
+
+#: generic couplings, e^{i pi/4} (where an array complex multiply rounds
+#: differently from a scalar one) and gamma = +-1, whose even-k points collide
+ARRAY_GAMMAS = (2.0, complex(np.exp(1j * PI / 4)), 0.5 + 0.5j, 1.0, -1.0)
+
+
 class TestDeltaFromSpectrum:
+    @pytest.mark.parametrize("gamma", ARRAY_GAMMAS)
+    def test_array_form_matches_pointwise(self, gamma):
+        rng = np.random.default_rng(25)
+        q = trig_poly_potential(rng, 512, degree=3, scale=2.0)
+        spec = compute_spectrum(q, FrozenConfig(a=0.25, gamma=gamma), 120)
+        # every sample point of recover_w and check_growth at K = NT, where
+        # the last points scan past the truncation, plus off-axis points
+        lams = np.array([(PI * k) ** 2 for k in range(1, 121)] + [0.0, -5.0, 30 + 11j])
+        batch = delta_from_spectrum(spec, lams, 120)
+        assert batch.shape == lams.shape
+        assert np.array_equal(batch, [delta_from_spectrum(spec, lam, 120) for lam in lams])
+        assert np.array_equal(batch, [delta_pointwise(spec, lam, 120) for lam in lams])
+
+    def test_pole_in_tail_same_in_both_forms(self):
+        spec = reference_spectrum(2.0, 40)
+        first, second = reference_lambda(30, spec.alpha), reference_lambda(25, spec.alpha)
+        for lam in (first, second):
+            with pytest.raises(PoleInTailError):
+                delta_from_spectrum(spec, lam, 20)
+        with pytest.raises(PoleInTailError) as err:
+            delta_from_spectrum(spec, np.array([-3.0, first, 7.0, second]), 20)
+        assert err.value.index == 30  # the first offending point in order
+        clean = np.array([-3.0, 7.0])
+        assert np.array_equal(
+            delta_from_spectrum(spec, clean, 20), [delta_from_spectrum(spec, x, 20) for x in clean]
+        )
+
+    def test_rejects_bad_points(self):
+        spec = reference_spectrum(2.0, 20)
+        with pytest.raises(ConfigError):
+            delta_from_spectrum(spec, np.ones((2, 2)), 20)
+        with pytest.raises(ConfigError):
+            delta_from_spectrum(spec, np.array([1.0, np.nan]), 20)
+        assert delta_from_spectrum(spec, np.array([]), 20).shape == (0,)
+
     def test_reference_spectrum_reproduces_delta0(self):
         spec = reference_spectrum(2.0, 50)
         for lam in (0.3, -12.0, 7 + 5j, 90.0):
@@ -394,6 +464,35 @@ class TestFamilies:
         spec_m = compute_spectrum(member, cfg, 120)
         member_again = isospectral_family(spec_m, cfg, [p], 60, 120, grid_n=1024)[0]
         assert rel_l2_error(member_again, member) <= 1e-5
+
+    def test_isospectral_members_equal_algorithm2(self):
+        rng = np.random.default_rng(41)
+        base, _ = half_ratio_potential(rng, 1.0, 1024)
+        cfg = FrozenConfig(a=0.0, gamma=1.0)
+        spec = compute_spectrum(base, cfg, 120)
+        xs_half = np.linspace(0, 0.5, 513)
+        profiles = [np.zeros(513, complex), np.sin(2 * PI * xs_half) * (0.8 - 0.3j)]
+        members = isospectral_family(spec, cfg, profiles, 60, 120, grid_n=1024)
+        for member, p in zip(members, profiles):
+            single = algorithm2(spec, cfg, OperatorSpec.constant(p, 0.5), 60, 120, grid_n=1024)
+            assert np.array_equal(member.samples, single.samples)
+
+    def test_isobispectral_members_equal_algorithm4(self):
+        rng = np.random.default_rng(42)
+        a = 0.25
+        two = forward_pair(window_flat_potential(rng, a, 1024), a, 120)
+        xs_a = np.linspace(0, a, 257)
+        profiles = [np.zeros(257, complex), (0.6 + 0.2j) * np.sin(PI * xs_a / a)]
+        members = isobispectral_family(two, profiles, 60, 120, grid_n=1024)
+        for member, p in zip(members, profiles):
+            single = algorithm4(two, OperatorSpec.constant(p, a), 60, 120, grid_n=1024)
+            assert np.array_equal(member.samples, single.samples)
+
+    def test_empty_profile_lists(self):
+        spec = reference_spectrum(1.0, 20)
+        two = TwoSpectra(spec0=spec, spec1=reference_spectrum(-1.0, 20), a=0.25)
+        assert isospectral_family(spec, spec.config, [], 20, 20) == []
+        assert isobispectral_family(two, [], 20, 20) == []
 
     def test_isobispectral_members(self):
         rng = np.random.default_rng(40)
