@@ -6,6 +6,13 @@ the frame constants of the truncated system, and their stabilisation as N
 grows is the desk-scale proxy for two-sided frame bounds.  Integer alpha
 degenerates the system (rows n and -n become proportional) and drives the
 lower bound to zero.
+
+With u_m = 2m + alpha and v_n = 2n + conj(alpha), the entry
+G_mn = int_0^1 sin(u_m pi x) conj(sin(v_n pi x)) dx
+     = [sinc((u_m - v_n) pi) - sinc((u_m + v_n) pi)] / 2,
+and u_m - v_n = 2(m - n) + 2i Im(alpha), u_m + v_n = 2(m + n) + 2 Re(alpha).
+So G = (T - H)/2 with T Toeplitz in m - n and H Hankel in m + n: the
+4N+1 values of each are computed once and G is filled by indexing.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PI, phi, simpson_weights, sinc_entire
+from .core import PI, simpson_weights, sinc_entire
 from .errors import FrozenHillError
 
 _QUAD_CHECK_N = 2048
@@ -52,20 +59,24 @@ class RieszReport:
 
 
 def _gram_entries(alpha: complex, n_half: int) -> np.ndarray:
-    """Closed-form entries via I(u, v) = [sinc((u-v)pi) - sinc((u+v)pi)] / 2."""
-    ns = np.arange(-n_half, n_half + 1)
-    u = 2.0 * ns + complex(alpha)  # row frequencies
-    v = 2.0 * ns + np.conj(complex(alpha))  # conjugated column frequencies
-    diff = u[:, None] - v[None, :]
-    summ = u[:, None] + v[None, :]
-    return 0.5 * (sinc_entire(PI * diff) - sinc_entire(PI * summ))
+    """Closed-form entries G = (T - H)/2 from one sinc per diagonal and anti-diagonal."""
+    alpha = complex(alpha)
+    offsets = 2.0 * np.arange(-2 * n_half, 2 * n_half + 1)  # 2(m-n) and 2(m+n)
+    toeplitz = sinc_entire(PI * (offsets + 2j * alpha.imag))
+    hankel = sinc_entire(PI * (offsets + 2.0 * alpha.real))
+    i = np.arange(2 * n_half + 1)
+    return 0.5 * (toeplitz[i[:, None] - i + 2 * n_half] - hankel[i[:, None] + i])
+
+
+def _quadrature_rows(alpha: complex, ms: np.ndarray) -> np.ndarray:
+    """sin((2m+alpha) pi x) on the cross-check grid, one row per m."""
+    xs = np.linspace(0.0, 1.0, _QUAD_CHECK_N + 1)
+    return np.sin(np.multiply.outer((2 * ms + alpha) * PI, xs))
 
 
 def _quadrature_entry(alpha: complex, m: int, n: int) -> complex:
-    xs = np.linspace(0.0, 1.0, _QUAD_CHECK_N + 1)
+    fm, fn = _quadrature_rows(alpha, np.array([m, n]))
     wts = simpson_weights(_QUAD_CHECK_N) / _QUAD_CHECK_N
-    fm = np.sin((2 * m + alpha) * PI * xs)
-    fn = np.sin((2 * n + alpha) * PI * xs)
     return complex(np.dot(wts, fm * np.conj(fn)))
 
 
@@ -74,17 +85,18 @@ def gram_matrix(alpha: complex, n_half: int, cross_check: bool = True) -> GramTr
     alpha = complex(alpha)
     g = _gram_entries(alpha, n_half)
     if cross_check:
-        lo = max(-2, -n_half)
-        hi = min(2, n_half)
-        for m in range(lo, hi + 1):
-            for n in range(lo, hi + 1):
-                closed = g[m + n_half, n + n_half]
-                quad = _quadrature_entry(alpha, m, n)
-                if abs(closed - quad) > _QUAD_CHECK_TOL:
-                    raise FrozenHillError(
-                        f"Gram closed form and quadrature disagree at ({m},{n}): "
-                        f"{abs(closed - quad):.3e}"
-                    )
+        ms = np.arange(max(-2, -n_half), min(2, n_half) + 1)
+        rows = _quadrature_rows(alpha, ms)
+        wts = simpson_weights(_QUAD_CHECK_N) / _QUAD_CHECK_N
+        quad = (rows * wts) @ rows.conj().T
+        err = np.abs(g[np.ix_(ms + n_half, ms + n_half)] - quad)
+        bad = np.argwhere(err > _QUAD_CHECK_TOL)
+        if len(bad):
+            i, j = bad[0]
+            raise FrozenHillError(
+                f"Gram closed form and quadrature disagree at ({ms[i]},{ms[j]}): "
+                f"{err[i, j]:.3e}"
+            )
     return GramTruncation(alpha=alpha, n_half=n_half, matrix=g)
 
 
@@ -112,8 +124,3 @@ def riesz_report(alpha: complex, n_list) -> RieszReport:
         upper_nondecreasing=all(b >= a - 1e-12 for a, b in zip(uppers, uppers[1:])),
     )
 
-
-def diagonal_entry(alpha: complex, n: int) -> complex:
-    """Closed-form G_nn = 1/2 - sin(2(2n+alpha)pi)/(4(2n+alpha)pi) for real alpha."""
-    freq = 2 * n + complex(alpha)
-    return 0.5 - 0.5 * complex(phi(2 * PI * freq, 1.0))

@@ -40,6 +40,10 @@ WINDOW_RADIUS = PI / 2
 
 NEWTON_MAX_ITER = 50
 
+#: below this |rho| the determinant route keeps the phi/cos kernels, whose
+#: series branch avoids the cancellation of (e^{i rho s} - e^{-i rho s}) / rho
+_EXP_KERNEL_MIN_RHO = 0.5
+
 
 @dataclass(frozen=True)
 class SineSeries:
@@ -183,11 +187,22 @@ def fundamental_solutions(
         lo, hi = min(j_a, j_x), max(j_a, j_x)
         sign = 1.0 if j_x >= j_a else -1.0
         ts, wts, qseg = _segment_quadrature(q, lo, hi)
-        i_phi = sign * np.dot(wts, qseg * phi(rho, x - ts))
-        i_cos = sign * np.dot(wts, qseg * np.cos(rho * (x - ts)))
         # W(x) = 1 + int_a^x q(t) phi(rho, a - t) dt, the unrolled form of
         # 1 - int_0^{a-x} q(a - t) phi(rho, t) dt
-        i_w = sign * np.dot(wts, qseg * phi(rho, a - ts))
+        if abs(rho) < _EXP_KERNEL_MIN_RHO:
+            i_phi = sign * np.dot(wts, qseg * phi(rho, x - ts))
+            i_cos = sign * np.dot(wts, qseg * np.cos(rho * (x - ts)))
+            i_w = sign * np.dot(wts, qseg * phi(rho, a - ts))
+        else:
+            # the same three integrals from fwd/bwd = int q(t) e^{+-i rho (a-t)} dt:
+            # sin/cos rho(x-t) split into e^{+-i rho (x-a)} times e^{+-i rho (a-t)}
+            e_at = np.exp(1j * rho * (a - ts))
+            fwd = np.dot(wts, qseg * e_at)
+            bwd = np.dot(wts, qseg / e_at)
+            e_xa = np.exp(1j * rho * (x - a))
+            i_phi = sign * (e_xa * fwd - bwd / e_xa) / (2j * rho)
+            i_cos = sign * (e_xa * fwd + bwd / e_xa) / 2.0
+            i_w = sign * (fwd - bwd) / (2j * rho)
     c = np.cos(rho * (x - a)) + i_phi
     c_prime = -rho * np.sin(rho * (x - a)) + i_cos
     s = phi(rho, x - a)

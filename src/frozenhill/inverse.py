@@ -184,6 +184,11 @@ def delta_from_spectrum(
     array of K values comes back); all points share one K x n_trunc ratio
     array, and each value is bit-identical to the call with that point alone.
     """
+    return _delta_and_delta0(spec, lam, n_trunc)[0]
+
+
+def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
+    """delta_from_spectrum's values and Delta0 at the same points, same shape."""
     if n_trunc < 1 or n_trunc > len(spec):
         raise ConfigError("n_trunc must be between 1 and the spectrum length")
     pts = np.asarray(lam, dtype=complex)
@@ -227,11 +232,12 @@ def delta_from_spectrum(
     ratios[(z_mult == 0)[:, None] & (lams == refs)] = 1.0
     prods = np.prod(ratios, axis=1)
 
+    free = np.array([delta0(lam_i, gamma) for lam_i in pts.tolist()], dtype=complex)
     out = np.zeros(len(pts), dtype=complex)
     for i in np.flatnonzero(~zero):
         lam_i = complex(pts[i])
         if z_mult[i] == 0:
-            limit = delta0(lam_i, gamma)
+            limit = free[i]
         elif poles[i] == 1:
             limit = -delta0_d1(lam_i, gamma)
         elif poles[i] == 2:
@@ -241,7 +247,9 @@ def delta_from_spectrum(
         # a scalar multiply: numpy's array complex multiply may round
         # differently, and the per-point value must not depend on K
         out[i] = limit * prods[i]
-    return complex(out[0]) if scalar else out
+    if scalar:
+        return complex(out[0]), complex(free[0])
+    return out, free
 
 
 def _sample_points(k_terms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,10 +266,9 @@ def recover_w(spec: Spectrum, k_terms: int, n_trunc: int) -> SineSeries:
     """Sine coefficients of w read off Delta at the interleaved points (pi k)^2."""
     if k_terms < 1:
         raise ConfigError("k_terms must be positive")
-    gamma = spec.config.gamma
     ks, lams = _sample_points(k_terms)
-    free = np.array([delta0(lam, gamma) for lam in lams])
-    return SineSeries(2.0 * PI * ks * (free - delta_from_spectrum(spec, lams, n_trunc)))
+    delta, free = _delta_and_delta0(spec, lams, n_trunc)
+    return SineSeries(2.0 * PI * ks * (free - delta))
 
 
 def check_degeneration(spec: Spectrum, tol: float = 1e-9) -> bool:

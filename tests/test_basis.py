@@ -3,10 +3,27 @@
 import numpy as np
 import pytest
 
-from frozenhill import frame_bounds, gram_matrix, riesz_report
-from frozenhill.basis import _quadrature_entry, diagonal_entry
+from frozenhill import FrozenHillError, frame_bounds, gram_matrix, riesz_report
+from frozenhill import basis
+from frozenhill.basis import _gram_entries, _quadrature_entry
+from frozenhill.core import phi, sinc_entire
 
 PI = np.pi
+
+
+def dense_gram(alpha, n_half):
+    """Reference: every entry from I(u, v) = [sinc((u-v)pi) - sinc((u+v)pi)] / 2."""
+    ns = np.arange(-n_half, n_half + 1)
+    u = 2.0 * ns + complex(alpha)
+    v = 2.0 * ns + np.conj(complex(alpha))
+    diff = u[:, None] - v[None, :]
+    summ = u[:, None] + v[None, :]
+    return 0.5 * (sinc_entire(PI * diff) - sinc_entire(PI * summ))
+
+
+def diagonal_entry(alpha, n):
+    """Closed-form G_nn = 1/2 - sin(2(2n+alpha)pi)/(4(2n+alpha)pi) for real alpha."""
+    return 0.5 - 0.5 * complex(phi(2 * PI * (2 * n + complex(alpha)), 1.0))
 
 
 class TestGramMatrix:
@@ -25,6 +42,36 @@ class TestGramMatrix:
 
     def test_cross_check_runs(self):
         gram_matrix(0.5, 8, cross_check=True)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 0.25, 0.22j, 0.25 + 0.11j])
+    @pytest.mark.parametrize("n_half", [1, 4, 256])
+    def test_toeplitz_hankel_matches_dense(self, alpha, n_half):
+        # same sinc_entire arguments as the dense form whenever 2n + Re(alpha)
+        # is exact, so the entries agree to rounding of the sinc itself
+        g = _gram_entries(alpha, n_half)
+        ref = dense_gram(alpha, n_half)
+        assert g.shape == ref.shape == (2 * n_half + 1, 2 * n_half + 1)
+        assert np.max(np.abs(g - ref)) <= 1e-15
+        assert np.array_equal(g, g.conj().T)
+
+    def test_toeplitz_hankel_inexact_real_part(self):
+        # Re(alpha) = 0.3 rounds in 2n + alpha, which the dense form then
+        # differences; the Toeplitz form uses the exact 2(m - n)
+        g = _gram_entries(0.3 + 0.1j, 64)
+        assert np.max(np.abs(g - dense_gram(0.3 + 0.1j, 64))) <= 1e-13
+
+    @pytest.mark.parametrize("n_half", [1, 2, 8])
+    def test_cross_check_catches_perturbed_entry(self, monkeypatch, n_half):
+        exact = basis._gram_entries
+
+        def perturbed(alpha, n):
+            g = exact(alpha, n)
+            g[n, n + 1] += 1e-8  # entry (0, 1) of the checked block
+            return g
+
+        monkeypatch.setattr(basis, "_gram_entries", perturbed)
+        with pytest.raises(FrozenHillError, match=r"disagree at \(0,1\)"):
+            gram_matrix(0.25 + 0.11j, n_half, cross_check=True)
 
     def test_diagonal_closed_form_real_alpha(self):
         alpha = 0.3

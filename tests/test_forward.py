@@ -18,11 +18,13 @@ from frozenhill import (
     eval_delta_factored,
     eval_delta_fundrep,
     fundamental_solutions,
+    phi,
     reference_lambda,
     reference_rho,
     shift_to_zero,
     verify_asymptotics,
 )
+from frozenhill.core import simpson_weights
 
 PI = np.pi
 N = 256
@@ -30,6 +32,24 @@ N = 256
 
 def grid(n=N):
     return np.linspace(0.0, 1.0, n + 1)
+
+
+def fundamental_reference(x, lam, q, cfg):
+    """C, C' and W at x from phi/cos kernels sampled pointwise on the segment [a, x]."""
+    n = q.n
+    j_x, j_a = round(x * n), round(cfg.a * n)
+    rho = np.sqrt(complex(lam))
+    a = cfg.a
+    c, c_prime, w = np.cos(rho * (x - a)), -rho * np.sin(rho * (x - a)), 1.0
+    if j_x != j_a:
+        lo, hi = min(j_a, j_x), max(j_a, j_x)
+        sign = 1.0 if j_x >= j_a else -1.0
+        ts = np.linspace(lo / n, hi / n, hi - lo + 1)
+        wts = simpson_weights(hi - lo) / n * q.samples[lo : hi + 1]
+        c += sign * np.dot(wts, phi(rho, x - ts))
+        c_prime += sign * np.dot(wts, np.cos(rho * (x - ts)))
+        w += sign * np.dot(wts, phi(rho, a - ts))
+    return complex(c), complex(c_prime), complex(w)
 
 
 class TestBuildW:
@@ -87,6 +107,23 @@ class TestFundamentalSolutions:
         cfg = FrozenConfig(a=0.0, gamma=1.0)
         fs = fundamental_solutions(1.0, 0.0, q, cfg)
         assert fs.c == pytest.approx(1.5, abs=1e-10)
+
+    @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 1.0])
+    def test_matches_pointwise_kernels(self, a):
+        # rho on both sides of the |rho| = 0.5 switch to the exponential
+        # kernels, |Im rho| up to 14, lambda = 0, and x = a (empty segment)
+        rng = np.random.default_rng(11)
+        q = trig_poly_potential(rng, 1024, degree=4)
+        cfg = FrozenConfig(a=a, gamma=2.0)
+        rhos = (0.0, 0.3, 0.2 + 0.45j, 0.4999, 0.5001, 0.7 + 0.2j, 14j, -14j,
+                3 + 14j, 3 - 14j, 0.5 + 13.9j, 10 + 5j, 20.0)
+        for x in (0.0, 0.125, 0.25, 0.375, 0.5, 0.8125, 1.0):
+            for rho in rhos:
+                lam = complex(rho) ** 2
+                fs = fundamental_solutions(x, lam, q, cfg)
+                ref = fundamental_reference(x, lam, q, cfg)
+                for got, want in zip((fs.c, fs.c_prime, fs.w), ref):
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (x, rho)
 
     def test_wronski_identity(self):
         rng = np.random.default_rng(7)
