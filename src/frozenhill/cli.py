@@ -46,6 +46,8 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
 EXIT_TOLERANCE = 5
 
+_A_HELP = "frozen point; defaults to the spectrum file's a= field, else 0"
+
 
 @dataclass
 class JobConfig:
@@ -155,7 +157,7 @@ def forward(in_path, a, gamma, m_eigs, out_path):
 
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path(), help="spectrum file")
-@click.option("--a", type=float, default=0.0, show_default=True, help="frozen point")
+@click.option("--a", type=float, default=None, help=_A_HELP)
 @click.option("--kterms", type=int, default=60, show_default=True)
 @click.option("--ntrunc", type=int, default=60, show_default=True)
 @click.option("--grid", "grid_n", type=int, default=1024, show_default=True)
@@ -192,18 +194,19 @@ def inverse1(in_path, a, kterms, ntrunc, grid_n, op_path, out_path):
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path(), help="periodic spectrum")
 @click.option("--in2", "in2_path", required=True, type=click.Path(), help="antiperiodic spectrum")
-@click.option("--a", type=float, default=0.0, show_default=True, help="frozen point")
+@click.option("--a", "a_opt", type=float, default=None, help=_A_HELP)
 @click.option("--kterms", type=int, default=60, show_default=True)
 @click.option("--ntrunc", type=int, default=60, show_default=True)
 @click.option("--grid", "grid_n", type=int, default=1024, show_default=True)
 @click.option("--op", "op_path", type=click.Path(), default=None,
               help="operator file (required for interior a)")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="potential file")
-def inverse2(in_path, in2_path, a, kterms, ntrunc, grid_n, op_path, out_path):
+def inverse2(in_path, in2_path, a_opt, kterms, ntrunc, grid_n, op_path, out_path):
     """Reconstruct the potential from the periodic/antiperiodic spectra pair."""
 
     def body():
-        spec0 = fio.read_spectrum(in_path, a=a)
+        spec0 = fio.read_spectrum(in_path, a=a_opt)
+        a = spec0.config.a
         spec1 = fio.read_spectrum(in2_path, a=a)
         job = JobConfig(
             command="inverse2",
@@ -284,7 +287,7 @@ def roundtrip(in_path, a, gamma, m_eigs, kterms, ntrunc, tol, op_path, out_path)
 
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path(), help="spectrum file")
-@click.option("--a", type=float, default=0.0, show_default=True)
+@click.option("--a", type=float, default=None, help=_A_HELP)
 @click.option("--op", "op_paths", type=click.Path(), multiple=True, required=True,
               help="constant-operator profile file(s), one family member each")
 @click.option("--kterms", type=int, default=60, show_default=True)

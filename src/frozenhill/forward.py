@@ -219,13 +219,18 @@ def fundamental_solutions(
 
 
 def eval_delta_det(lam: complex, q: Potential, config: FrozenConfig) -> complex:
-    """Characteristic function via the boundary 2x2 determinant."""
+    """Characteristic function via the boundary 2x2 determinant.
+
+    Expanding det [[C(0) - gamma C(1), S(0) - gamma S(1)], [C'(0) - gamma C'(1),
+    S'(0) - gamma S'(1)]] gives W(0) - gamma (cross terms) + gamma^2 W(1).  The
+    integrated W(x) stands in for C S' - C' S, whose two products grow like
+    e^{2 |Im rho|} and cancel to W, so no digits are lost to that cancellation.
+    """
     gamma = config.gamma
     f0 = fundamental_solutions(0.0, lam, q, config)
     f1 = fundamental_solutions(1.0, lam, q, config)
-    return (f0.c - gamma * f1.c) * (f0.s_prime - gamma * f1.s_prime) - (
-        f0.c_prime - gamma * f1.c_prime
-    ) * (f0.s - gamma * f1.s)
+    cross = f0.c * f1.s_prime - f0.c_prime * f1.s + f1.c * f0.s_prime - f1.c_prime * f0.s
+    return f0.w - gamma * cross + gamma * gamma * f1.w
 
 
 def _sine_phi_integral(k: int, rho: complex) -> complex:
@@ -422,25 +427,60 @@ def _spectrum_generic(w: Potential, config: FrozenConfig, alpha: AlphaParam, m: 
     return rhos * rhos
 
 
+def _reference_sums(c: np.ndarray, gamma: complex, m: int) -> np.ndarray:
+    """sum_j c_j cos(rho0 x_j) (gamma = 1) or sum_j c_j sin(rho0 x_j) (gamma = -1)
+    at the reference points rho0 of the even indices 0, 2, .. below m, from one FFT.
+
+    c holds the weighted half profile on x_j = j/n, j = 0..n/2.  For gamma = 1,
+    rho0 = 2k pi and with F = fft(c, n) the cosine sum is (F[k] + F[-k]) / 2; for
+    gamma = -1, rho0 = m' pi (m' = 2k + 1) and with G = fft(c, 2n) the sine sum
+    is (G[-m'] - G[m']) / 2i.  Indices wrap modulo the FFT length, which
+    aliases windows beyond the grid's Nyquist index exactly.
+    """
+    n = 2 * (len(c) - 1)
+    even = np.arange(0, m, 2)
+    if gamma == 1:
+        f = np.fft.fft(c, n)
+        k = even // 2
+        return (f[k % n] + f[-k % n]) / 2.0
+    f = np.fft.fft(c, 2 * n)
+    k = even + 1
+    return (f[-k % (2 * n)] - f[k % (2 * n)]) / 2j
+
+
 def _spectrum_degenerate(w: Potential, config: FrozenConfig, alpha: AlphaParam, m: int):
     gamma = config.gamma
     xs, wts, v = _half_profile(w)
 
+    # the cofactor is a closed-form head plus the integral of w(1/2 - x) against
+    # cos(rho x) (gamma = 1) or sin(rho x)/rho (gamma = -1)
     if gamma == 1:
 
-        def inner_lam(lam: complex) -> complex:
-            rho = np.sqrt(complex(lam))
-            return complex(2.0 * rho * np.sin(rho / 2.0) - np.dot(wts, v * np.cos(rho * xs)))
+        def integral(rho: complex) -> complex:
+            return -np.dot(wts, v * np.cos(rho * xs))
+
+        def cofactor(rho: complex, part: complex) -> complex:
+            return complex(2.0 * rho * np.sin(rho / 2.0) + part)
 
     else:
 
-        def inner_lam(lam: complex) -> complex:
-            rho = np.sqrt(complex(lam))
-            return complex(2.0 * np.cos(rho / 2.0) + np.dot(wts, v * phi(rho, xs)))
+        def integral(rho: complex) -> complex:
+            return np.dot(wts, v * phi(rho, xs))
+
+        def cofactor(rho: complex, part: complex) -> complex:
+            return complex(2.0 * np.cos(rho / 2.0) + part)
+
+    def inner_lam(lam: complex) -> complex:
+        rho = np.sqrt(complex(lam))
+        return cofactor(rho, integral(rho))
 
     def g(rho: complex) -> complex:
         return inner_lam(rho * rho)
 
+    # the integral at every even-index reference point from one FFT: a window
+    # whose reference point already passes the check is accepted there, as
+    # the first check of _newton_rho would accept it
+    sums = _reference_sums(wts * v, gamma, m)
     lams = np.empty(m, dtype=complex)
     for idx in range(m):
         rho0 = reference_rho(idx, alpha)
@@ -453,6 +493,11 @@ def _spectrum_degenerate(w: Potential, config: FrozenConfig, alpha: AlphaParam, 
             if not ok:
                 raise RootIsolationError(idx)
             lams[idx] = lam
+            continue
+        rho = np.sqrt(complex(rho0 * rho0))  # the point g(rho0) evaluates at
+        part = -sums[idx // 2] if gamma == 1 else sums[idx // 2] / rho
+        if abs(cofactor(rho, part)) < tol:
+            lams[idx] = rho0 * rho0
         else:
             rho = _solve_window(g, rho0, tol, idx)
             lams[idx] = rho * rho
@@ -465,7 +510,9 @@ def compute_spectrum(q: Potential, config: FrozenConfig, m: int) -> Spectrum:
     Each index n is solved by Newton on Delta(rho^2) started from its
     reference zero; for gamma = +-1 the characteristic function is factored,
     the odd-indexed (information-free) eigenvalues are emitted exactly at
-    their reference positions and only the cofactor is solved numerically.
+    their reference positions and only the cofactor is solved numerically;
+    one FFT checks the cofactor at every reference point first, and a window
+    that passes there is not iterated.
     """
     if m < 1:
         raise ConfigError("eigenvalue count m must be positive")

@@ -13,8 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import AlphaParam, FrozenConfig, Potential, Spectrum
-from .errors import FileFormatError
+from .errors import ConfigError, FileFormatError
 from .inverse import OperatorSpec
+
+#: largest gap between a caller's frozen point and a spectrum file's that still matches
+_A_MATCH_TOL = 1e-12
 
 
 def fmt_float(x: float) -> str:
@@ -24,6 +27,12 @@ def fmt_float(x: float) -> str:
 def fmt_complex(z: complex) -> str:
     z = complex(z)
     return f"{fmt_float(z.real)},{fmt_float(z.imag)}"
+
+
+def _rows(fmt: str, *columns) -> str:
+    """One `fmt` line per row of equal-length columns, from a single format call."""
+    cells = [x for row in zip(*columns) for x in row]
+    return fmt * len(columns[0]) % tuple(cells)
 
 
 def parse_complex(text: str, where: str = "value") -> complex:
@@ -51,11 +60,11 @@ def _header_fields(line: str, kind: str, path) -> dict:
 
 
 def write_potential(path, q: Potential, config: FrozenConfig) -> None:
-    lines = [f"# potential n={q.n} a={fmt_float(config.a)} gamma={fmt_complex(config.gamma)}"]
-    xs = q.grid()
-    for x, v in zip(xs, q.samples):
-        lines.append(f"{fmt_float(x)} {fmt_float(v.real)} {fmt_float(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = f"# potential n={q.n} a={fmt_float(config.a)} gamma={fmt_complex(config.gamma)}\n"
+    body = _rows(
+        "%.17g %.17g %.17g\n", q.grid().tolist(), q.samples.real.tolist(), q.samples.imag.tolist()
+    )
+    Path(path).write_text(header + body)
 
 
 def read_potential(path) -> tuple[Potential, FrozenConfig]:
@@ -91,18 +100,38 @@ def read_potential(path) -> tuple[Potential, FrozenConfig]:
 
 
 def write_spectrum(path, spec: Spectrum) -> None:
-    lines = [
+    header = (
         "# spectrum "
         f"gamma={fmt_complex(spec.config.gamma)} "
-        f"alpha={fmt_complex(spec.alpha.alpha)} m={len(spec)}"
-    ]
-    for n, lam in enumerate(spec.values):
-        lines.append(f"{n} {fmt_float(lam.real)} {fmt_float(lam.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        f"alpha={fmt_complex(spec.alpha.alpha)} m={len(spec)} a={fmt_float(spec.config.a)}\n"
+    )
+    body = _rows(
+        "%d %.17g %.17g\n", range(len(spec)), spec.values.real.tolist(), spec.values.imag.tolist()
+    )
+    Path(path).write_text(header + body)
 
 
-def read_spectrum(path, a: float = 0.0) -> Spectrum:
-    """Load a spectrum file; the frozen point a is supplied by the caller."""
+def _check_frozen_point(path, a: float | None, file_a: float | None) -> float:
+    """The frozen point of a spectrum file: its header's, else the caller's, else 0.
+
+    A caller's a must match the header's a or its mirror 1 - a, whose reflected
+    problem has the same spectrum (see build_w).
+    """
+    if file_a is None:
+        return 0.0 if a is None else a
+    if a is None:
+        return file_a
+    if min(abs(a - file_a), abs(a - (1.0 - file_a))) > _A_MATCH_TOL:
+        raise ConfigError(f"{path}: spectrum was computed at a={fmt_float(file_a)}, not a={a}")
+    return a
+
+
+def read_spectrum(path, a: float | None = None) -> Spectrum:
+    """Load a spectrum file; the frozen point comes from its `a=` header field.
+
+    Files written without that field take the caller's a, or 0.0.  A caller's
+    a that conflicts with the header raises ConfigError.
+    """
     text = Path(path).read_text().splitlines()
     if not text:
         raise FileFormatError(f"{path}: empty spectrum file")
@@ -114,8 +143,10 @@ def read_spectrum(path, a: float = 0.0) -> Spectrum:
     alpha = parse_complex(fields["alpha"], "alpha")
     try:
         m = int(fields["m"])
+        file_a = float(fields["a"]) if "a" in fields else None
     except ValueError as exc:
-        raise FileFormatError(f"{path}: bad m: {exc}") from exc
+        raise FileFormatError(f"{path}: bad header number: {exc}") from exc
+    a = _check_frozen_point(path, a, file_a)
     body = [ln for ln in text[1:] if ln.strip()]
     if len(body) != m:
         raise FileFormatError(f"{path}: expected {m} eigenvalue lines, found {len(body)}")
@@ -140,18 +171,18 @@ def read_spectrum(path, a: float = 0.0) -> Spectrum:
 
 def write_operator(path, op: OperatorSpec) -> None:
     lines = [f"kind={op.kind}", f"domain={fmt_float(op.domain_length)}"]
+    body = ""
     if op.kind == "scalar":
         lines.append(f"c={fmt_complex(op.scalar_value)}")
     elif op.kind == "constant":
         lines.append(f"count={len(op.profile)}")
-        for v in op.profile:
-            lines.append(f"{fmt_float(v.real)} {fmt_float(v.imag)}")
+        body = _rows("%.17g %.17g\n", op.profile.real.tolist(), op.profile.imag.tolist())
     else:
         rows = op.matrix_values.shape[0]
         lines.append(f"rows={rows}")
         for row in op.matrix_values:
             lines.append(" ".join(fmt_complex(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n" + body)
 
 
 def read_operator(path) -> OperatorSpec:

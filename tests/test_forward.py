@@ -25,6 +25,12 @@ from frozenhill import (
     verify_asymptotics,
 )
 from frozenhill.core import simpson_weights
+from frozenhill.forward import (
+    _half_profile,
+    _newton_lambda,
+    _reference_sums,
+    _solve_window,
+)
 
 PI = np.pi
 N = 256
@@ -216,6 +222,76 @@ class TestDeltaRoutes:
             d1 = eval_delta_det(lam, q, cfg)
             d2 = eval_delta_fundrep(lam, w, cfg.gamma)
             assert abs(d1 - d2) <= 1e-7 * (1 + abs(d1))
+
+
+    def test_det_route_keeps_digits_at_large_imaginary_rho(self):
+        # at a = 0 the products C(1) S'(1) and C'(1) S(1) grow like e^{2 |Im rho|},
+        # about 1e12 here, and cancel to W(1); the route must not lose those digits
+        rng = np.random.default_rng(19)
+        q = trig_poly_potential(rng, 2048, degree=6)
+        for gamma in (2.0, 0.5 + 0.5j, 1.0):
+            cfg = FrozenConfig(a=0.0, gamma=gamma)
+            w = build_w(q, cfg)
+            for rho in (1.3 + 14.0j, -0.4 + 13.8j, 7.0 - 14.2j):
+                d1 = eval_delta_det(rho * rho, q, cfg)
+                d2 = eval_delta_fundrep(rho * rho, w, gamma)
+                assert abs(d1 - d2) <= 1e-13 * (1 + abs(d1))
+
+
+def degenerate_reference(q, cfg, m):
+    """gamma = +-1 eigenvalues solved window by window, Newton from every reference point."""
+    w = build_w(q, cfg)
+    alpha = compute_alpha(cfg.gamma)
+    xs, wts, v = _half_profile(w)
+
+    def inner_lam(lam):
+        rho = np.sqrt(complex(lam))
+        if cfg.gamma == 1:
+            return complex(2.0 * rho * np.sin(rho / 2.0) - np.dot(wts, v * np.cos(rho * xs)))
+        return complex(2.0 * np.cos(rho / 2.0) + np.dot(wts, v * phi(rho, xs)))
+
+    lams = np.empty(m, dtype=complex)
+    for idx in range(m):
+        rho0 = reference_rho(idx, alpha)
+        tol = 1e-11 * (1.0 + 2.0 * abs(rho0))
+        if idx % 2 == 1:
+            lams[idx] = rho0 * rho0
+        elif abs(rho0) < 0.5:
+            lams[idx], ok = _newton_lambda(inner_lam, rho0 * rho0, tol)
+            assert ok
+        else:
+            rho = _solve_window(lambda r: inner_lam(r * r), rho0, tol, idx)
+            lams[idx] = rho * rho
+    return lams
+
+
+class TestDegenerateFirstPass:
+    """The gamma = +-1 solve checks every reference point from one FFT first."""
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("m", [40, 150])  # m/2 below the grid size 64, then beyond it
+    def test_reference_sums_match_direct(self, gamma, a, m):
+        rng = np.random.default_rng(20)
+        q = trig_poly_potential(rng, 64, degree=5)
+        xs, wts, v = _half_profile(build_w(q, FrozenConfig(a=a, gamma=gamma)))
+        c = wts * v
+        alpha = compute_alpha(gamma)
+        kernel = np.cos if gamma == 1 else np.sin
+        direct = [np.dot(c, kernel(reference_rho(idx, alpha) * xs)) for idx in range(0, m, 2)]
+        sums = _reference_sums(c, gamma, m)
+        assert sums.shape == (len(direct),)
+        assert np.max(np.abs(sums - direct)) <= 1e-13 * np.sum(np.abs(c))
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_spectrum_equals_window_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for a in (0.0, 0.25):
+            q = window_flat_potential(rng, a, 512)
+            for gamma in (1.0, -1.0):
+                cfg = FrozenConfig(a=a, gamma=gamma)
+                spec = compute_spectrum(q, cfg, 120)
+                assert np.array_equal(spec.values, degenerate_reference(q, cfg, 120))
 
 
 class TestSpectrum:

@@ -1,15 +1,23 @@
 """Serialisation round trips and CLI exit-code behaviour."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import half_ratio_potential, potential_from_w_coeffs, flat_sine_coeffs
 from frozenhill import (
+    ConfigError,
     FileFormatError,
     FrozenConfig,
     OperatorSpec,
     Potential,
+    Spectrum,
+    compute_alpha,
     compute_spectrum,
     reference_lambda,
 )
@@ -87,6 +95,162 @@ class TestSerialization:
         with pytest.raises(FileFormatError) as err:
             read_spectrum(path)
         assert "line 3" in str(err.value)
+
+
+#: floats whose text form is easy to get wrong: signed zero, the smallest
+#: subnormal, the largest double, integral values and inexact decimals
+AWKWARD = [-0.0, 5e-324, 1.7976931348623157e308, 3.0, -2.0, 1e22, 0.1, 1.0 / 3.0, -5e-324]
+
+
+def _complex_array(re, im):
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im  # keeps signed zeros that re + 1j * im would lose
+    return out
+
+
+def _same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64))
+
+
+class TestWriterBytes:
+    """The writers format whole bodies at once; the bytes match one f-string per field."""
+
+    def test_potential_bytes(self, tmp_path):
+        re = np.resize(AWKWARD, 17)
+        samples = _complex_array(re, -re[::-1])
+        q = Potential(samples)
+        path = tmp_path / "q.pot"
+        write_potential(path, q, FrozenConfig(a=0.25, gamma=-1.0))
+        lines = ["# potential n=16 a=0.25 gamma=-1,0"]
+        lines += [f"{j / 16:.17g} {v.real:.17g} {v.imag:.17g}" for j, v in enumerate(samples)]
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_spectrum_bytes(self, tmp_path):
+        values = _complex_array(np.array(AWKWARD), np.array(AWKWARD[::-1]))
+        spec = Spectrum(values=values, config=FrozenConfig(a=0.75, gamma=2.0),
+                        alpha=compute_alpha(2.0))
+        path = tmp_path / "s.spec"
+        write_spectrum(path, spec)
+        alpha = spec.alpha.alpha
+        lines = [f"# spectrum gamma=2,0 alpha={alpha.real:.17g},{alpha.imag:.17g} "
+                 f"m={len(values)} a=0.75"]
+        lines += [f"{n} {v.real:.17g} {v.imag:.17g}" for n, v in enumerate(values)]
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_constant_operator_bytes(self, tmp_path):
+        profile = _complex_array(np.array(AWKWARD), np.array(AWKWARD[::-1]))
+        path = tmp_path / "p.op"
+        write_operator(path, OperatorSpec.constant(profile, 0.5))
+        lines = ["kind=constant", "domain=0.5", f"count={len(profile)}"]
+        lines += [f"{v.real:.17g} {v.imag:.17g}" for v in profile]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        empty = tmp_path / "e.op"
+        write_operator(empty, OperatorSpec.constant(np.zeros(0, complex), 0.5))
+        assert empty.read_text() == "kind=constant\ndomain=0.5\ncount=0\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half=st.integers(min_value=8, max_value=40),
+    re=st.lists(_finite, min_size=81, max_size=81),
+    im=st.lists(_finite, min_size=81, max_size=81),
+    a_index=st.integers(min_value=0, max_value=4),
+)
+def test_write_read_round_trip_bit_exact(half, re, im, a_index):
+    n = 2 * half
+    samples = _complex_array(np.array(re[: n + 1]), np.array(im[: n + 1]))
+    cfg = FrozenConfig(a=a_index / 4, gamma=1.0)
+    spec = Spectrum(values=samples, config=cfg, alpha=compute_alpha(1.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_potential(Path(tmp) / "q.pot", Potential(samples), cfg)
+        write_spectrum(Path(tmp) / "s.spec", spec)
+        q2, cfg2 = read_potential(Path(tmp) / "q.pot")
+        spec2 = read_spectrum(Path(tmp) / "s.spec")
+    assert _same_bits(q2.samples, samples) and cfg2 == cfg
+    assert _same_bits(spec2.values, samples) and spec2.config == cfg
+
+
+class TestSpectrumProvenance:
+    """Spectrum files record the frozen point a; readers and the CLI hold callers to it."""
+
+    @staticmethod
+    def _spectra(tmp_path, a=0.25):
+        q = Potential.zeros(64)
+        paths = []
+        for name, gamma in (("s0.spec", 1.0), ("s1.spec", -1.0)):
+            paths.append(tmp_path / name)
+            write_spectrum(paths[-1], compute_spectrum(q, FrozenConfig(a=a, gamma=gamma), 10))
+        return paths
+
+    def test_header_records_a_and_reader_uses_it(self, tmp_path):
+        p0, _ = self._spectra(tmp_path)
+        assert p0.read_text().splitlines()[0].endswith(" a=0.25")
+        assert read_spectrum(p0).config.a == 0.25
+        assert read_spectrum(p0, a=0.25).config.a == 0.25
+        # the mirrored problem (reflected potential, 1 - a) has the same spectrum
+        assert read_spectrum(p0, a=0.75).config.a == 0.75
+        with pytest.raises(ConfigError, match="computed at a=0.25"):
+            read_spectrum(p0, a=0.5)
+
+    def test_files_without_a_take_the_callers(self, tmp_path):
+        p0, _ = self._spectra(tmp_path)
+        lines = p0.read_text().splitlines()
+        lines[0] = lines[0].replace(" a=0.25", "")
+        p0.write_text("\n".join(lines) + "\n")
+        assert read_spectrum(p0).config.a == 0.0
+        assert read_spectrum(p0, a=0.5).config.a == 0.5
+
+    def test_bad_a_field_is_a_format_error(self, tmp_path):
+        p0, _ = self._spectra(tmp_path)
+        p0.write_text(p0.read_text().replace(" a=0.25", " a=quarter"))
+        with pytest.raises(FileFormatError):
+            read_spectrum(p0)
+
+    @pytest.mark.parametrize("command", ["inverse1", "inverse2", "growthcheck",
+                                         "isospectral", "isobispectral"])
+    def test_conflicting_a_exit_3(self, runner, tmp_path, command):
+        p0, p1 = self._spectra(tmp_path)
+        op = tmp_path / "p.op"
+        write_operator(op, OperatorSpec.constant(np.zeros(33, complex), 0.5))
+        pair = ["--in", str(p0), "--in2", str(p1)]
+        args = {
+            "inverse1": ["--in", str(p0), "--op", str(op)],
+            "inverse2": [*pair, "--op", str(op)],
+            "growthcheck": pair,
+            "isospectral": ["--in", str(p0), "--op", str(op)],
+            "isobispectral": [*pair, "--op", str(op)],
+        }[command]
+        result = runner.invoke(main, [command, *args, "--a", "0.5", "--grid", "64"])
+        assert result.exit_code == 3
+        assert "computed at a=0.25" in result.output
+
+    def test_inverse2_pair_with_different_a_exit_3(self, runner, tmp_path):
+        p0, _ = self._spectra(tmp_path, a=0.25)
+        (tmp_path / "other").mkdir()
+        _, p1 = self._spectra(tmp_path / "other", a=0.5)
+        result = runner.invoke(main, ["inverse2", "--in", str(p0), "--in2", str(p1),
+                                      "--grid", "64"])
+        assert result.exit_code == 3
+        assert "computed at a=0.5" in result.output
+
+    def test_inverse1_without_a_uses_the_header(self, runner, tmp_path):
+        rng = np.random.default_rng(60)
+        cfg = FrozenConfig(a=0.25, gamma=2.0)
+        q = potential_from_w_coeffs(flat_sine_coeffs(rng, degree=8), cfg, 256)
+        spath = tmp_path / "s.spec"
+        write_spectrum(spath, compute_spectrum(q, cfg, 40))
+        outs = []
+        for extra in ([], ["--a", "0.25"]):
+            outs.append(tmp_path / f"q{len(outs)}.pot")
+            result = runner.invoke(main, ["inverse1", "--in", str(spath), "--grid", "256",
+                                          "--kterms", "40", "--ntrunc", "40",
+                                          "--out", str(outs[-1]), *extra])
+            assert result.exit_code == 0, result.output
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert read_potential(outs[0])[1].a == 0.25
 
 
 def _write_sample_potential(tmp_path, n=64, a=0.0, gamma=2.0):
