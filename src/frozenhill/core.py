@@ -184,11 +184,6 @@ def reference_lambda(n: int, alpha) -> complex:
     return r * r
 
 
-def reference_rho_array(count: int, alpha) -> np.ndarray:
-    # scalar path per entry so the floats match reference_rho bit for bit
-    return np.array([reference_rho(n, alpha) for n in range(count)], dtype=complex)
-
-
 def reference_lambda_array(count: int, alpha) -> np.ndarray:
     return np.array([reference_lambda(n, alpha) for n in range(count)], dtype=complex)
 

@@ -44,6 +44,12 @@ NEWTON_MAX_ITER = 50
 #: series branch avoids the cancellation of (e^{i rho s} - e^{-i rho s}) / rho
 _EXP_KERNEL_MIN_RHO = 0.5
 
+_UNIT_ROUNDOFF = 2.0**-53
+
+#: share of tol set aside for rounding the reference check's last subtraction,
+#: its abs and its comparison, on top of the bound from _reference_sums
+_ROUNDING_SLACK = 16 * _UNIT_ROUNDOFF
+
 
 @dataclass(frozen=True)
 class SineSeries:
@@ -387,6 +393,49 @@ def _quadratic_pair_refine(g, rho0_i, rho0_j, tol):
     return roots[0], roots[1]
 
 
+def _reference_sums(c: np.ndarray, n: int, alpha: AlphaParam, m: int):
+    """Exponential sums at every reference point from two FFTs, with an error bound.
+
+    Returns plus_k = sum_j c_j e^{i rho0 x_j} and minus_k = sum_j c_j e^{-i rho0 x_j}
+    on x_j = j/n at the reference point rho0 of every index k < m, and slack_k.
+    Write rho0 = (p + alpha) pi with p = k for even k, and rho0 = (p - alpha) pi
+    with p = k + 1 for odd k.  With d+- = c e^{+-i pi alpha x} and F+- the FFTs of
+    length L = 2n, e^{+-i pi p j/n} picks entry -+p mod L, so plus = F+[-p] and
+    minus = F-[p] for even k, plus = F-[-p] and minus = F+[p] for odd k.  Indices
+    wrap modulo L, which aliases windows with p >= L exactly.
+
+    slack_k bounds the distance of either sum from Newton's direct evaluation.
+    Let u = 2^-53 and T = sqrt(L) max ||d+-||_2, which bounds
+    sum_j |c_j| e^{|Im rho0| x_j}, so each sum and its rho-derivative.
+      * The FFT rounds by at most 8 u log2(L) T (a normwise bound).
+      * The Simpson dot, e.g. np.dot(wts, w * sin(rho x) / rho) scaled by |rho|
+        to these units, rounds by at most u (2 len(c) + 2 |rho0| + 16) T: the
+        summation, plus the rounding u |rho x| of the kernel's argument.
+      * Newton evaluates at rho = sqrt(rho0^2), and |rho - rho0| <= 8 u |rho0|.
+        For |rho0| >= 1/2 the sums, and |rho0| times sums / rho, change by at
+        most 3 T per unit of rho.
+    slack_k is twice the total: 2 u T (8 log2 L + 2 len(c) + 26 |rho0| + 16).
+    """
+    period = 2 * n
+    al = alpha.alpha
+    x = np.arange(len(c)) / n
+    d_up = c * np.exp(1j * PI * al * x)
+    d_dn = c * np.exp(-1j * PI * al * x)
+    f_up = np.fft.fft(d_up, period)
+    f_dn = np.fft.fft(d_dn, period)
+    k = np.arange(m)
+    even = k % 2 == 0
+    p = np.where(even, k, k + 1)
+    plus = np.where(even, f_up[-p % period], f_dn[-p % period])
+    minus = np.where(even, f_dn[p % period], f_up[p % period])
+    scale = np.sqrt(period) * max(np.linalg.norm(d_up), np.linalg.norm(d_dn))
+    rho0 = PI * np.abs(np.where(even, p + al, p - al))
+    slack = 2.0 * _UNIT_ROUNDOFF * scale * (
+        8.0 * np.log2(period) + 2.0 * len(c) + 26.0 * rho0 + 16.0
+    )
+    return plus, minus, slack
+
+
 def _spectrum_generic(w: Potential, config: FrozenConfig, alpha: AlphaParam, m: int):
     gamma = config.gamma
     n = w.n
@@ -394,16 +443,21 @@ def _spectrum_generic(w: Potential, config: FrozenConfig, alpha: AlphaParam, m: 
     wts = simpson_weights(n) / n
     ws = w.samples
 
+    # Delta is a closed-form head minus the integral of w against sin(rho x)/rho
+    def delta(rho: complex, part: complex) -> complex:
+        return complex(1.0 + gamma * gamma - 2.0 * gamma * np.cos(rho) - part)
+
     def dfun(lam: complex) -> complex:
         rho = np.sqrt(complex(lam))
-        return complex(
-            1.0 + gamma * gamma - 2.0 * gamma * np.cos(rho) - np.dot(wts, ws * phi(rho, xs))
-        )
+        return delta(rho, np.dot(wts, ws * phi(rho, xs)))
 
     def g(rho: complex) -> complex:
         return dfun(rho * rho)
 
     tol = 1e-11 * (1.0 + (1.0 + abs(gamma)) ** 2)
+    # Delta at every reference point from the FFT sums: a window accepted there
+    # is one that the first check of _newton_rho accepts at rho0
+    plus, minus, slack = _reference_sums(wts * ws, n, alpha, m)
     rhos = np.empty(m, dtype=complex)
     refs = np.empty(m, dtype=complex)
     for idx in range(m):
@@ -416,36 +470,23 @@ def _spectrum_generic(w: Potential, config: FrozenConfig, alpha: AlphaParam, m: 
                 raise RootIsolationError(idx)
             root = np.sqrt(complex(lam))
             rhos[idx] = root if abs(root - rho0) <= abs(root + rho0) else -root
+            continue
+        rho = np.sqrt(complex(rho0 * rho0))  # the point g(rho0) evaluates at
+        part = (plus[idx] - minus[idx]) / (2j * rho0)
+        if abs(delta(rho, part)) + slack[idx] / abs(rho0) + _ROUNDING_SLACK * tol < tol:
+            rhos[idx] = rho0
         else:
             rhos[idx] = _solve_window(g, rho0, tol, idx)
-    # re-refine nearly coincident converged pairs (near-degenerate gamma)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(rhos[i] - rhos[j]) < PAIR_GAP and abs(refs[i] - refs[j]) < 1.0:
-                ri, rj = _quadratic_pair_refine(g, refs[i], refs[j], tol)
-                rhos[i], rhos[j] = ri, rj
+    # re-refine nearly coincident converged pairs (near-degenerate gamma).  Only
+    # neighbours can qualify: Re alpha lies in [0, 1], so Re rho0 of index k lies
+    # in [k pi, (k + 1) pi], and indices of one parity lie exactly 2 pi apart;
+    # reference points of indices two or more apart thus differ by at least
+    # 2 pi > 1.  Scanning i -> i + 1 upwards meets the qualifying pairs in the
+    # same order, and with the same values, as a scan over all pairs.
+    for i in range(m - 1):
+        if abs(rhos[i] - rhos[i + 1]) < PAIR_GAP and abs(refs[i] - refs[i + 1]) < 1.0:
+            rhos[i], rhos[i + 1] = _quadratic_pair_refine(g, refs[i], refs[i + 1], tol)
     return rhos * rhos
-
-
-def _reference_sums(c: np.ndarray, gamma: complex, m: int) -> np.ndarray:
-    """sum_j c_j cos(rho0 x_j) (gamma = 1) or sum_j c_j sin(rho0 x_j) (gamma = -1)
-    at the reference points rho0 of the even indices 0, 2, .. below m, from one FFT.
-
-    c holds the weighted half profile on x_j = j/n, j = 0..n/2.  For gamma = 1,
-    rho0 = 2k pi and with F = fft(c, n) the cosine sum is (F[k] + F[-k]) / 2; for
-    gamma = -1, rho0 = m' pi (m' = 2k + 1) and with G = fft(c, 2n) the sine sum
-    is (G[-m'] - G[m']) / 2i.  Indices wrap modulo the FFT length, which
-    aliases windows beyond the grid's Nyquist index exactly.
-    """
-    n = 2 * (len(c) - 1)
-    even = np.arange(0, m, 2)
-    if gamma == 1:
-        f = np.fft.fft(c, n)
-        k = even // 2
-        return (f[k % n] + f[-k % n]) / 2.0
-    f = np.fft.fft(c, 2 * n)
-    k = even + 1
-    return (f[-k % (2 * n)] - f[k % (2 * n)]) / 2j
 
 
 def _spectrum_degenerate(w: Potential, config: FrozenConfig, alpha: AlphaParam, m: int):
@@ -477,10 +518,9 @@ def _spectrum_degenerate(w: Potential, config: FrozenConfig, alpha: AlphaParam, 
     def g(rho: complex) -> complex:
         return inner_lam(rho * rho)
 
-    # the integral at every even-index reference point from one FFT: a window
-    # whose reference point already passes the check is accepted there, as
-    # the first check of _newton_rho would accept it
-    sums = _reference_sums(wts * v, gamma, m)
+    # the integral at every reference point from the FFT sums: a window accepted
+    # there is one that the first check of _newton_rho accepts at rho0
+    plus, minus, slack = _reference_sums(wts * v, w.n, alpha, m)
     lams = np.empty(m, dtype=complex)
     for idx in range(m):
         rho0 = reference_rho(idx, alpha)
@@ -495,8 +535,11 @@ def _spectrum_degenerate(w: Potential, config: FrozenConfig, alpha: AlphaParam, 
             lams[idx] = lam
             continue
         rho = np.sqrt(complex(rho0 * rho0))  # the point g(rho0) evaluates at
-        part = -sums[idx // 2] if gamma == 1 else sums[idx // 2] / rho
-        if abs(cofactor(rho, part)) < tol:
+        if gamma == 1:
+            part, bound = -(plus[idx] + minus[idx]) / 2.0, slack[idx]
+        else:
+            part, bound = (plus[idx] - minus[idx]) / (2j * rho0), slack[idx] / abs(rho0)
+        if abs(cofactor(rho, part)) + bound + _ROUNDING_SLACK * tol < tol:
             lams[idx] = rho0 * rho0
         else:
             rho = _solve_window(g, rho0, tol, idx)
@@ -510,9 +553,9 @@ def compute_spectrum(q: Potential, config: FrozenConfig, m: int) -> Spectrum:
     Each index n is solved by Newton on Delta(rho^2) started from its
     reference zero; for gamma = +-1 the characteristic function is factored,
     the odd-indexed (information-free) eigenvalues are emitted exactly at
-    their reference positions and only the cofactor is solved numerically;
-    one FFT checks the cofactor at every reference point first, and a window
-    that passes there is not iterated.
+    their reference positions and only the cofactor is solved numerically.
+    For every gamma, two FFTs check Delta (or the cofactor) at every reference
+    point first, and a window that passes there is not iterated.
     """
     if m < 1:
         raise ConfigError("eigenvalue count m must be positive")

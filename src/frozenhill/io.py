@@ -8,6 +8,7 @@ go into the files, so identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,37 @@ def parse_complex(text: str, where: str = "value") -> complex:
     raise FileFormatError(f"cannot parse complex {where} from {text!r}")
 
 
+def _complex_rows(path, body: list[str], first_line: int, usage: str, number_bad_values=True):
+    """The last two fields of every body line as one complex value each.
+
+    Each line must hold the fields named in usage.  The values come from
+    Python's float and are stored as real and imaginary parts, so they equal
+    complex(float(re), float(im)) bit for bit.  The first bad line raises
+    FileFormatError; body[i] is line first_line + i, and a value that float()
+    rejects is reported with that number unless number_bad_values is false.
+    """
+    width = len(usage.split())
+    rows = [ln.split() for ln in body]
+    out = np.empty(len(rows), dtype=complex)
+    try:
+        if all(len(parts) == width for parts in rows):
+            out.real = np.fromiter(map(float, map(itemgetter(-2), rows)), float, len(rows))
+            out.imag = np.fromiter(map(float, map(itemgetter(-1), rows)), float, len(rows))
+            return out
+    except ValueError:
+        pass
+    # line by line, so the first bad line is the one reported
+    for i, parts in enumerate(rows):
+        where = f"{path}: line {i + first_line}: "
+        if len(parts) != width:
+            raise FileFormatError(f"{where}expected {usage!r}")
+        try:
+            out[i] = complex(float(parts[-2]), float(parts[-1]))
+        except ValueError as exc:
+            raise FileFormatError(f"{where if number_bad_values else f'{path}: '}{exc}") from exc
+    return out
+
+
 def _header_fields(line: str, kind: str, path) -> dict:
     if not line.startswith(f"# {kind}"):
         raise FileFormatError(f"{path}: expected '# {kind}' header, got {line!r}")
@@ -81,18 +113,10 @@ def read_potential(path) -> tuple[Potential, FrozenConfig]:
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad header number: {exc}") from exc
     gamma = parse_complex(fields["gamma"], "gamma")
-    samples = np.empty(n + 1, dtype=complex)
     body = [ln for ln in text[1:] if ln.strip()]
     if len(body) != n + 1:
         raise FileFormatError(f"{path}: expected {n + 1} sample lines, found {len(body)}")
-    for i, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != 3:
-            raise FileFormatError(f"{path}: line {i + 2}: expected 'x re im'")
-        try:
-            samples[i] = complex(float(parts[1]), float(parts[2]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: line {i + 2}: {exc}") from exc
+    samples = _complex_rows(path, body, 2, "x re im")
     try:
         return Potential(samples), FrozenConfig(a=a, gamma=gamma)
     except Exception as exc:
@@ -212,12 +236,7 @@ def read_operator(path) -> OperatorSpec:
                 raise FileFormatError(
                     f"{path}: expected {count} profile lines, found {len(body)}"
                 )
-            profile = np.empty(count, dtype=complex)
-            for i, line in enumerate(body):
-                parts = line.split()
-                if len(parts) != 2:
-                    raise FileFormatError(f"{path}: line {i + 4}: expected 're im'")
-                profile[i] = complex(float(parts[0]), float(parts[1]))
+            profile = _complex_rows(path, body, 4, "re im", number_bad_values=False)
             return OperatorSpec.constant(profile, domain)
         if len(text) < 3 or not text[2].startswith("rows="):
             raise FileFormatError(f"{path}: matrix operator misses 'rows=' line")

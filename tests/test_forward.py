@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import sine_poly_potential, trig_poly_potential, window_flat_potential
+from conftest import (
+    flat_sine_coeffs,
+    potential_from_w_coeffs,
+    sine_poly_potential,
+    trig_poly_potential,
+    window_flat_potential,
+)
 from frozenhill import (
     CharFn,
     ConfigError,
@@ -25,9 +31,12 @@ from frozenhill import (
     verify_asymptotics,
 )
 from frozenhill.core import simpson_weights
+from frozenhill import forward
 from frozenhill.forward import (
+    PAIR_GAP,
     _half_profile,
     _newton_lambda,
+    _quadratic_pair_refine,
     _reference_sums,
     _solve_window,
 )
@@ -265,23 +274,76 @@ def degenerate_reference(q, cfg, m):
     return lams
 
 
-class TestDegenerateFirstPass:
-    """The gamma = +-1 solve checks every reference point from one FFT first."""
+def generic_reference(q, cfg, m):
+    """Generic eigenvalues by Newton from every reference point, then a re-refine
+    over all index pairs.
 
-    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    Returns the values, the number of pair refinements and the number of windows
+    whose reference point passes Newton's first check.
+    """
+    w = build_w(q, cfg)
+    gamma = cfg.gamma
+    alpha = compute_alpha(gamma)
+    xs, wts = w.grid(), simpson_weights(w.n) / w.n
+
+    def dfun(lam):
+        rho = np.sqrt(complex(lam))
+        return complex(
+            1.0 + gamma * gamma - 2.0 * gamma * np.cos(rho) - np.dot(wts, w.samples * phi(rho, xs))
+        )
+
+    def g(rho):
+        return dfun(rho * rho)
+
+    tol = 1e-11 * (1.0 + (1.0 + abs(gamma)) ** 2)
+    rhos = np.empty(m, dtype=complex)
+    refs = np.empty(m, dtype=complex)
+    at_reference = 0
+    for idx in range(m):
+        rho0 = reference_rho(idx, alpha)
+        refs[idx] = rho0
+        if abs(rho0) < 0.5:
+            lam, ok = _newton_lambda(dfun, rho0 * rho0, tol)
+            assert ok
+            root = np.sqrt(complex(lam))
+            rhos[idx] = root if abs(root - rho0) <= abs(root + rho0) else -root
+        else:
+            at_reference += abs(g(rho0)) < tol
+            rhos[idx] = _solve_window(g, rho0, tol, idx)
+    refined = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(rhos[i] - rhos[j]) < PAIR_GAP and abs(refs[i] - refs[j]) < 1.0:
+                rhos[i], rhos[j] = _quadratic_pair_refine(g, refs[i], refs[j], tol)
+                refined += 1
+    return rhos * rhos, refined, at_reference
+
+
+class TestDegenerateFirstPass:
+    """Every solve checks its reference points from one pair of FFTs first."""
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, 0.5 + 0.5j, -1.05])
     @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75])
     @pytest.mark.parametrize("m", [40, 150])  # m/2 below the grid size 64, then beyond it
     def test_reference_sums_match_direct(self, gamma, a, m):
         rng = np.random.default_rng(20)
         q = trig_poly_potential(rng, 64, degree=5)
-        xs, wts, v = _half_profile(build_w(q, FrozenConfig(a=a, gamma=gamma)))
-        c = wts * v
+        w = build_w(q, FrozenConfig(a=a, gamma=gamma))
+        if gamma in (1, -1):
+            _, wts, v = _half_profile(w)  # the cofactor's half profile
+            c = wts * v
+        else:
+            c = simpson_weights(w.n) / w.n * w.samples
+        xs = np.arange(len(c)) / w.n
         alpha = compute_alpha(gamma)
-        kernel = np.cos if gamma == 1 else np.sin
-        direct = [np.dot(c, kernel(reference_rho(idx, alpha) * xs)) for idx in range(0, m, 2)]
-        sums = _reference_sums(c, gamma, m)
-        assert sums.shape == (len(direct),)
-        assert np.max(np.abs(sums - direct)) <= 1e-13 * np.sum(np.abs(c))
+        plus, minus, slack = _reference_sums(c, w.n, alpha, m)
+        assert plus.shape == minus.shape == slack.shape == (m,)
+        for idx in range(m):
+            rho0 = reference_rho(idx, alpha)
+            assert abs(plus[idx] - np.dot(c, np.exp(1j * rho0 * xs))) <= slack[idx]
+            assert abs(minus[idx] - np.dot(c, np.exp(-1j * rho0 * xs))) <= slack[idx]
+            # the bound's shift term: Newton's first check runs at sqrt(rho0^2)
+            assert abs(np.sqrt(complex(rho0 * rho0)) - rho0) <= 8 * 2.0**-53 * abs(rho0)
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_spectrum_equals_window_loop(self, seed):
@@ -292,6 +354,51 @@ class TestDegenerateFirstPass:
                 cfg = FrozenConfig(a=a, gamma=gamma)
                 spec = compute_spectrum(q, cfg, 120)
                 assert np.array_equal(spec.values, degenerate_reference(q, cfg, 120))
+
+    @pytest.mark.parametrize("gamma", [2.0, 0.5 + 0.5j, -1.05])
+    def test_generic_spectrum_equals_window_loop(self, gamma, monkeypatch):
+        # finite sine-series kernels: many windows already pass at rho0
+        rng = np.random.default_rng(24)
+        cfg = FrozenConfig(a=0.25, gamma=gamma)
+        q = potential_from_w_coeffs(flat_sine_coeffs(rng), cfg, 512)
+        newton_runs = []
+        solve = forward._solve_window
+        monkeypatch.setattr(
+            forward, "_solve_window", lambda *args: newton_runs.append(1) or solve(*args)
+        )
+        m = 120
+        spec = compute_spectrum(q, cfg, m)
+        expected, refined, at_reference = generic_reference(q, cfg, m)
+        assert np.array_equal(spec.values, expected)
+        assert refined == 0
+        assert at_reference > m // 3
+        # Newton runs only where the reference point fails (n = 0 has |rho0| >= 0.5 here)
+        assert len(newton_runs) == m - at_reference
+
+
+class TestPairRescan:
+    """The neighbour-only re-refine scan equals the scan over all index pairs."""
+
+    @pytest.mark.parametrize("gamma", [1.001, 1 + 1e-6, -1.001, -1 - 1e-6, 1.02])
+    def test_spectrum_equals_all_pairs_scan(self, gamma, monkeypatch):
+        rng = np.random.default_rng(30)
+        q = trig_poly_potential(rng, 256, degree=3, scale=0.5)
+        cfg = FrozenConfig(a=0.25, gamma=gamma)
+        m = 200
+        expected, refined, _ = generic_reference(q, cfg, m)
+        fired = []
+        refine = forward._quadratic_pair_refine
+        monkeypatch.setattr(
+            forward,
+            "_quadratic_pair_refine",
+            lambda g, ri, rj, tol: fired.append((ri, rj)) or refine(g, ri, rj, tol),
+        )
+        spec = compute_spectrum(q, cfg, m)
+        assert np.array_equal(spec.values, expected)
+        assert len(fired) == refined
+        if gamma == -1 - 1e-6:
+            # indices pair as (2k, 2k + 1) near gamma = -1, so the last pair is refined too
+            assert fired[-1][0] == reference_rho(m - 2, spec.alpha)
 
 
 class TestSpectrum:

@@ -173,6 +173,64 @@ def test_write_read_round_trip_bit_exact(half, re, im, a_index):
     assert _same_bits(spec2.values, samples) and spec2.config == cfg
 
 
+class TestReaders:
+    """Body parsing keeps Python's float values and names the first bad line."""
+
+    TOKENS = ["-0", "-0.0", "+1.5", "1e-3", "0.1", "5e-324", "-1.7976931348623157e308", "7"]
+
+    def _potential_text(self, rows):
+        n = len(rows) - 1
+        return f"# potential n={n} a=0 gamma=2,0\n" + "".join(f"{r}\n" for r in rows)
+
+    def test_potential_values_equal_float_parse(self, tmp_path):
+        toks = self.TOKENS * 3
+        rows = [f"{j / 16}\t{toks[j]}  {toks[-1 - j]}" for j in range(17)]
+        path = tmp_path / "q.pot"
+        path.write_text(self._potential_text(rows))
+        q, _ = read_potential(path)
+        expected = [complex(float(r.split()[1]), float(r.split()[2])) for r in rows]
+        assert _same_bits(q.samples, np.array(expected))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({3: "0.1 oops 0.0", 6: "0.2 0.0"}, "line 5: could not convert string to float: 'oops'"),
+            ({3: "0.1 0.0", 6: "0.2 oops 0.0"}, "line 5: expected 'x re im'"),
+            ({16: "1.0 0.0 1e400x"}, "line 18: could not convert string to float: '1e400x'"),
+        ],
+    )
+    def test_potential_error_names_first_bad_line(self, tmp_path, bad, message):
+        rows = [f"{j / 16} 0.5 0.25" for j in range(17)]
+        for j, row in bad.items():
+            rows[j] = row
+        path = tmp_path / "q.pot"
+        path.write_text(self._potential_text(rows))
+        with pytest.raises(FileFormatError) as err:
+            read_potential(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1.0", "line 5: expected 're im'"),
+            ("1.0 zz", "could not convert string to float: 'zz'"),
+        ],
+    )
+    def test_constant_operator_errors(self, tmp_path, row, message):
+        path = tmp_path / "p.op"
+        path.write_text(f"kind=constant\ndomain=0.5\ncount=3\n1 -0.0\n{row}\n2 3\n")
+        with pytest.raises(FileFormatError) as err:
+            read_operator(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_constant_operator_values_equal_float_parse(self, tmp_path):
+        path = tmp_path / "p.op"
+        path.write_text("kind=constant\ndomain=0.5\ncount=3\n1 -0.0\n-0 0.1\n2e-3 -7\n")
+        op = read_operator(path)
+        expected = [complex(1.0, -0.0), complex(-0.0, 0.1), complex(2e-3, -7.0)]
+        assert _same_bits(op.profile, np.array(expected))
+
+
 class TestSpectrumProvenance:
     """Spectrum files record the frozen point a; readers and the CLI hold callers to it."""
 
