@@ -37,7 +37,6 @@ from .errors import (
     RootIsolationError,
 )
 from .forward import (
-    CharFn,
     FundamentalSolutions,
     SineSeries,
     build_w,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaParam",
     "AsymptoticResidues",
-    "CharFn",
     "ConfigError",
     "DegenerateCaseError",
     "FileFormatError",

@@ -185,7 +185,18 @@ def reference_lambda(n: int, alpha) -> complex:
 
 
 def reference_lambda_array(count: int, alpha) -> np.ndarray:
-    return np.array([reference_lambda(n, alpha) for n in range(count)], dtype=complex)
+    """reference_lambda for n < count, bit-identical: the square is taken in
+    real arithmetic as Python's complex multiply rounds it (numpy's may not)."""
+    al = _alpha_value(alpha)
+    n = np.arange(count)
+    even = n % 2 == 0
+    # (n + al)*PI and (n + 1 - al)*PI as Python computes them
+    re = np.where(even, n + al.real, (n + 1) - al.real)
+    im = np.where(even, 0.0 + al.imag, 0.0 - al.imag)
+    x, y = re * PI - im * 0.0, re * 0.0 + im * PI
+    out = np.empty(count, dtype=complex)
+    out.real, out.imag = x * x - y * y, x * y + y * x
+    return out
 
 
 def delta0(lam: complex, gamma: complex) -> complex:
@@ -237,11 +248,6 @@ class Potential:
     @classmethod
     def zeros(cls, n: int) -> "Potential":
         return cls(np.zeros(n + 1, dtype=complex))
-
-    @classmethod
-    def from_function(cls, fn, n: int) -> "Potential":
-        xs = np.linspace(0.0, 1.0, n + 1)
-        return cls(np.asarray(fn(xs), dtype=complex))
 
     def l2_norm(self) -> float:
         return float(np.sqrt(simpson(np.abs(self.samples) ** 2, 1.0 / self.n).real))

@@ -117,26 +117,6 @@ class FundamentalSolutions:
     w: complex
 
 
-@dataclass(frozen=True)
-class CharFn:
-    """Characteristic function wrapper: integral form or zero-product form."""
-
-    gamma: complex
-    w: "Potential | SineSeries | None" = None
-    spectrum: Spectrum | None = None
-    n_trunc: int | None = None
-
-    def __call__(self, lam: complex) -> complex:
-        if self.w is not None:
-            return eval_delta_fundrep(lam, self.w, self.gamma)
-        if self.spectrum is None:
-            raise ConfigError("characteristic function has neither form attached")
-        from .inverse import delta_from_spectrum
-
-        n_trunc = self.n_trunc if self.n_trunc is not None else len(self.spectrum)
-        return delta_from_spectrum(self.spectrum, lam, n_trunc)
-
-
 def build_w(q: Potential, config: FrozenConfig) -> Potential:
     """Assemble the integral kernel w from q via the three-branch main equation.
 

@@ -23,7 +23,6 @@ from .core import (
     delta0,
     delta0_d1,
     delta0_d2,
-    reference_lambda,
     reference_lambda_array,
     snap_index,
     unshift,
@@ -40,6 +39,9 @@ from .forward import SineSeries
 
 #: collision tolerance between an evaluation point and a reference zero
 _COLLISION_RTOL = 1e-8
+
+#: evaluation points per block of the zero product
+_BLOCK = 16
 
 #: numerical singularity threshold for I + gamma*K and I + P
 _SINGULAR_TOL = 1e-10
@@ -181,8 +183,8 @@ def delta_from_spectrum(
     of Delta0 of the corresponding multiplicity.
 
     lam is a scalar (a complex comes back) or a 1-D array of K points (an
-    array of K values comes back); all points share one K x n_trunc ratio
-    array, and each value is bit-identical to the call with that point alone.
+    array of K values comes back); the ratios are formed _BLOCK points at a
+    time, and each value is bit-identical to the call with that point alone.
     """
     return _delta_and_delta0(spec, lam, n_trunc)[0]
 
@@ -207,12 +209,30 @@ def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
     refs_all = reference_lambda_array(int(n_scan.max(initial=n_trunc)), alpha)
     refs = refs_all[:n_trunc]
     lams = spec.values[:n_trunc]
-    diff = refs - pts[:, None]
-    num = lams - pts[:, None]
-    colliding = np.abs(diff) <= tol[:, None]
-
-    z_mult = np.count_nonzero(colliding, axis=1)
-    poles = np.count_nonzero(colliding & (np.abs(num) > tol[:, None]), axis=1)
+    # eigenvalues stored exactly at their reference make the factor 1
+    # identically; complex z/z would leave ~1 ulp of imaginary residue
+    exact = lams == refs
+    z_mult, poles = np.zeros((2, len(pts)), dtype=int)
+    prods = np.empty(len(pts), dtype=complex)
+    diff_buf, ratio_buf = np.empty((2, _BLOCK, n_trunc), dtype=complex)
+    for lo in range(0, len(pts), _BLOCK):
+        hi = min(lo + _BLOCK, len(pts))
+        col, tol_col = pts[lo:hi, None], tol[lo:hi, None]
+        diff = np.subtract(refs, col, out=diff_buf[: hi - lo])
+        ratios = np.subtract(lams, col, out=ratio_buf[: hi - lo])
+        colliding = np.abs(diff) <= tol_col
+        if colliding.any():
+            z_mult[lo:hi] = np.count_nonzero(colliding, axis=1)
+            poles[lo:hi] = np.count_nonzero(colliding & (np.abs(ratios) > tol_col), axis=1)
+            # colliding entries keep the pole factor lambda_n - lambda,
+            # paired against a Delta0 zero
+            np.divide(ratios, diff, out=ratios, where=~colliding)
+        else:
+            np.divide(ratios, diff, out=ratios)
+        ratios[(z_mult[lo:hi] == 0)[:, None] & exact] = 1.0
+        # a row-wise product is sequential, so each value matches the
+        # scalar product of that point alone, whatever the block height
+        np.prod(ratios, axis=1, out=prods[lo:hi])
     zero = poles < z_mult  # an uncancelled zero of Delta0 survives
 
     # A collision beyond the truncation is fatal unless a degenerate head
@@ -222,15 +242,6 @@ def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
         hits = np.flatnonzero(np.abs(refs_all[n_trunc : n_scan[i]] - pts[i]) <= tol[i])
         if len(hits):
             raise PoleInTailError(n_trunc + int(hits[0]))
-
-    # colliding entries keep the pole factor lambda_n - lambda, paired
-    # against a Delta0 zero
-    ratios = num / np.where(colliding, 1.0, diff)
-    ratios[colliding] = num[colliding]
-    # eigenvalues stored exactly at their reference make the factor 1
-    # identically; complex z/z would leave ~1 ulp of imaginary residue
-    ratios[(z_mult == 0)[:, None] & (lams == refs)] = 1.0
-    prods = np.prod(ratios, axis=1)
 
     free = np.array([delta0(lam_i, gamma) for lam_i in pts.tolist()], dtype=complex)
     out = np.zeros(len(pts), dtype=complex)
@@ -272,15 +283,17 @@ def recover_w(spec: Spectrum, k_terms: int, n_trunc: int) -> SineSeries:
 
 
 def check_degeneration(spec: Spectrum, tol: float = 1e-9) -> bool:
-    """True iff every odd-indexed eigenvalue sits exactly on its reference."""
+    """True iff every odd-indexed eigenvalue sits exactly on its reference.
+
+    A NaN eigenvalue fails.  np.hypot rounds as abs() of a complex does.
+    """
     gamma = spec.config.gamma
     if gamma not in (1, -1):
         raise ConfigError("degeneration check applies to gamma = +-1 only")
-    for n in range(1, len(spec), 2):
-        ref = reference_lambda(n, spec.alpha)
-        if abs(spec.values[n] - ref) > tol * (1.0 + abs(ref)):
-            return False
-    return True
+    refs = reference_lambda_array(len(spec), spec.alpha)[1::2]
+    gap = spec.values[1::2] - refs
+    bound = tol * (1.0 + np.hypot(refs.real, refs.imag))
+    return bool(np.all(np.hypot(gap.real, gap.imag) <= bound))
 
 
 def _symmetry_residual(ws: np.ndarray, gamma: complex) -> float:

@@ -48,11 +48,12 @@ def parse_complex(text: str, where: str = "value") -> complex:
     raise FileFormatError(f"cannot parse complex {where} from {text!r}")
 
 
-def _complex_rows(path, body: list[str], first_line: int, usage: str, number_bad_values=True):
+def _complex_rows(path, body, first_line: int, usage: str, number_bad_values=True, indexed=False):
     """The last two fields of every body line as one complex value each.
 
-    Each line must hold the fields named in usage.  The values come from
-    Python's float and are stored as real and imaginary parts, so they equal
+    Each line must hold the fields named in usage; if indexed, the first
+    field of body[i] must be the integer i.  The values come from Python's
+    float and are stored as real and imaginary parts, so they equal
     complex(float(re), float(im)) bit for bit.  The first bad line raises
     FileFormatError; body[i] is line first_line + i, and a value that float()
     rejects is reported with that number unless number_bad_values is false.
@@ -64,8 +65,12 @@ def _complex_rows(path, body: list[str], first_line: int, usage: str, number_bad
         if all(len(parts) == width for parts in rows):
             out.real = np.fromiter(map(float, map(itemgetter(-2), rows)), float, len(rows))
             out.imag = np.fromiter(map(float, map(itemgetter(-1), rows)), float, len(rows))
-            return out
-    except ValueError:
+            if not indexed or np.array_equal(
+                np.fromiter(map(int, map(itemgetter(0), rows)), np.int64, len(rows)),
+                np.arange(len(rows)),
+            ):
+                return out
+    except (ValueError, OverflowError):
         pass
     # line by line, so the first bad line is the one reported
     for i, parts in enumerate(rows):
@@ -73,9 +78,12 @@ def _complex_rows(path, body: list[str], first_line: int, usage: str, number_bad
         if len(parts) != width:
             raise FileFormatError(f"{where}expected {usage!r}")
         try:
+            idx = int(parts[0]) if indexed else i
             out[i] = complex(float(parts[-2]), float(parts[-1]))
         except ValueError as exc:
             raise FileFormatError(f"{where if number_bad_values else f'{path}: '}{exc}") from exc
+        if idx != i:
+            raise FileFormatError(f"{where}index {idx} out of order")
     return out
 
 
@@ -174,18 +182,10 @@ def read_spectrum(path, a: float | None = None) -> Spectrum:
     body = [ln for ln in text[1:] if ln.strip()]
     if len(body) != m:
         raise FileFormatError(f"{path}: expected {m} eigenvalue lines, found {len(body)}")
-    values = np.empty(m, dtype=complex)
-    for i, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != 3:
-            raise FileFormatError(f"{path}: line {i + 2}: expected 'n re im'")
-        try:
-            idx = int(parts[0])
-            values[i] = complex(float(parts[1]), float(parts[2]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: line {i + 2}: {exc}") from exc
-        if idx != i:
-            raise FileFormatError(f"{path}: line {i + 2}: index {idx} out of order")
+    values = _complex_rows(path, body, 2, "n re im", indexed=True)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise FileFormatError(f"{path}: line {bad[0] + 2}: eigenvalue is not finite")
     try:
         config = FrozenConfig(a=a, gamma=gamma)
     except Exception as exc:

@@ -16,7 +16,7 @@ from frozenhill import (
     shift_to_zero,
     unshift,
 )
-from frozenhill.core import SERIES_CUTOFF, simpson, simpson_weights
+from frozenhill.core import SERIES_CUTOFF, reference_lambda_array, simpson, simpson_weights
 
 PI = np.pi
 
@@ -68,6 +68,17 @@ class TestReferenceZeros:
     def test_odd_branch(self):
         assert reference_rho(1, 0.0) == pytest.approx(2 * PI)
         assert reference_rho(3, 0.3) == pytest.approx((4 - 0.3) * PI)
+
+    @pytest.mark.parametrize(
+        "gamma", [2.0, 0.5 + 0.5j, complex(np.exp(1j * PI / 4)), -1.05, 1.02, 1.0, -1.0, 3j]
+    )
+    def test_array_equals_scalar_loop(self, gamma):
+        alpha = compute_alpha(gamma)
+        got = reference_lambda_array(3000, alpha)
+        want = np.array([reference_lambda(n, alpha) for n in range(3000)], dtype=complex)
+        assert np.array_equal(got, want)
+        # signed zeros too: compare the sign bits of every part
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
     @pytest.mark.parametrize("gamma", [2.0, 1 + 1j, -1.0, 1.0, 0.5 + 0.5j])
     def test_reference_zeros_kill_delta0(self, gamma):

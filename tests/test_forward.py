@@ -11,7 +11,6 @@ from conftest import (
     window_flat_potential,
 )
 from frozenhill import (
-    CharFn,
     ConfigError,
     FrozenConfig,
     Potential,
@@ -216,11 +215,11 @@ class TestDeltaRoutes:
                 d2 = eval_delta_factored(lam, w, gamma)
                 assert abs(d1 - d2) <= 1e-8 * (1 + abs(d1))
 
-    def test_charfn_integral_form(self):
+    def test_fundrep_constant_potential_at_pi_squared(self):
         q = Potential(np.ones(N + 1, complex))
         cfg = FrozenConfig(a=0.0, gamma=2.0)
-        fn = CharFn(gamma=2.0, w=build_w(q, cfg))
-        assert fn(PI**2) == pytest.approx(9 - 12 / PI**2, abs=1e-8)
+        value = eval_delta_fundrep(PI**2, build_w(q, cfg), 2.0)
+        assert value == pytest.approx(9 - 12 / PI**2, abs=1e-8)
 
     def test_two_route_agreement_mirrored_a(self):
         rng = np.random.default_rng(18)

@@ -1,5 +1,7 @@
 """Tests for product reconstruction, Fourier recovery and the four algorithms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from frozenhill import (
     algorithm2,
     algorithm3,
     algorithm4,
+    build_w,
     check_degeneration,
     check_growth,
     compute_alpha,
@@ -35,6 +38,7 @@ from frozenhill import (
     delta0,
     delta_from_spectrum,
     eval_delta_det,
+    eval_delta_fundrep,
     isobispectral_family,
     isospectral_family,
     recover_w,
@@ -42,6 +46,7 @@ from frozenhill import (
     rel_l2_error,
 )
 from frozenhill.core import delta0_d1, delta0_d2
+from frozenhill.inverse import _BLOCK
 
 PI = np.pi
 
@@ -148,6 +153,16 @@ class TestDeltaFromSpectrum:
         want = eval_delta_det(-10.0, q, cfg)
         assert abs(got - want) <= 1e-5 * (1 + abs(want))
 
+    def test_matches_integral_route(self):
+        q = Potential(np.ones(1024 + 1, complex))
+        cfg = FrozenConfig(a=0.0, gamma=2.0)
+        spec = compute_spectrum(q, cfg, 100)
+        w = build_w(q, cfg)
+        for lam in (-10.0, 3.0 + 4j):
+            prod = delta_from_spectrum(spec, lam, 100)
+            integral = eval_delta_fundrep(lam, w, 2.0)
+            assert abs(prod - integral) <= 1e-5 * (1 + abs(integral))
+
     def test_pole_in_tail_raises(self):
         spec = reference_spectrum(2.0, 40)
         lam = reference_lambda(30, spec.alpha)
@@ -181,6 +196,62 @@ class TestDeltaFromSpectrum:
             d100 = delta_from_spectrum(spec, lam, 100)
             d200 = delta_from_spectrum(spec, lam, 200)
             assert abs(d200 - d100) <= 1e-5 * (1 + abs(d200))
+
+
+#: one point, one short of a block, one block, one past it, two blocks and one more
+BLOCK_COUNTS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+
+
+@pytest.fixture(scope="module")
+def block_spectra():
+    rng = np.random.default_rng(26)
+    q = trig_poly_potential(rng, 256, degree=3, scale=2.0)
+    return {g: compute_spectrum(q, FrozenConfig(a=0.25, gamma=g), 40) for g in (1.0, -1.0, 2.0)}
+
+
+class TestBlockedProduct:
+    """The product is taken _BLOCK points at a time; no block edge may show."""
+
+    @pytest.mark.parametrize("gamma", (1.0, -1.0, 2.0))
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_every_height_matches_pointwise(self, block_spectra, gamma, count):
+        spec = block_spectra[gamma]
+        # (pi k)^2 sits on a double reference zero at even k for gamma = 1
+        # and at odd k for gamma = -1; the last point is off the axis
+        lams = np.array([(PI * k) ** 2 for k in range(1, count + 1)], dtype=complex)
+        lams[-1] += 11j if count > 1 else 0
+        batch = delta_from_spectrum(spec, lams, 40)
+        assert np.array_equal(batch, [delta_from_spectrum(spec, lam, 40) for lam in lams])
+        assert np.array_equal(batch, [delta_pointwise(spec, lam, 40) for lam in lams])
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    @pytest.mark.parametrize("where", ("first", "middle", "last"))
+    def test_pole_in_tail_from_any_block(self, count, where):
+        spec = reference_spectrum(2.0, 40)
+        pole = reference_lambda(30, spec.alpha)
+        lams = np.linspace(-50.0, 50.0, count) + 1j
+        lams[{"first": 0, "middle": count // 2, "last": count - 1}[where]] = pole
+        with pytest.raises(PoleInTailError) as batch:
+            delta_from_spectrum(spec, lams, 20)
+        with pytest.raises(PoleInTailError) as single:
+            delta_from_spectrum(spec, pole, 20)
+        with pytest.raises(PoleInTailError) as scalar:
+            delta_pointwise(spec, pole, 20)
+        assert batch.value.index == single.value.index == scalar.value.index == 30
+
+    def test_recover_w_allocates_no_k_by_n_array(self):
+        # one K x NT complex array at K = 400, NT = 800 alone is 5.1 MB
+        spec = reference_spectrum(2.0, 800)
+        noise = np.random.default_rng(27).normal(size=800) * 1e-6
+        spec = Spectrum(values=spec.values * (1 + noise), config=spec.config, alpha=spec.alpha)
+        recover_w(spec, 400, 800)
+        tracemalloc.start()
+        try:
+            recover_w(spec, 400, 800)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestRecoverW:
@@ -513,19 +584,6 @@ class TestFamilies:
         assert np.max(np.abs(pair1.spec1.values - pair2.spec1.values)) <= 1e-6
 
 
-class TestCharFnProductForm:
-    def test_matches_integral_route(self):
-        from frozenhill import CharFn, build_w
-
-        q = Potential(np.ones(1024 + 1, complex))
-        cfg = FrozenConfig(a=0.0, gamma=2.0)
-        spec = compute_spectrum(q, cfg, 100)
-        fn_prod = CharFn(gamma=2.0, spectrum=spec, n_trunc=100)
-        fn_int = CharFn(gamma=2.0, w=build_w(q, cfg))
-        for lam in (-10.0, 3.0 + 4j):
-            assert abs(fn_prod(lam) - fn_int(lam)) <= 1e-5 * (1 + abs(fn_int(lam)))
-
-
 class TestTwoSpectraValidation:
     def test_wrong_couplings_rejected(self):
         s0 = reference_spectrum(1.0, 10)
@@ -560,6 +618,27 @@ class TestDegenerationCheck:
         values[1] += 1e-3
         bad = Spectrum(values=values, config=spec.config, alpha=spec.alpha)
         assert not check_degeneration(bad)
+
+    def test_nan_odd_eigenvalue_fails(self):
+        spec = reference_spectrum(1.0, 30)
+        values = spec.values.copy()
+        values[3] = np.nan
+        assert not check_degeneration(Spectrum(values=values, config=spec.config, alpha=spec.alpha))
+
+    @pytest.mark.parametrize("gamma", (1.0, -1.0))
+    def test_matches_scalar_rule_at_the_bound(self, gamma):
+        spec = reference_spectrum(gamma, 30)
+        rng = np.random.default_rng(28)
+        for _ in range(40):
+            values = spec.values.copy()
+            n = 2 * int(rng.integers(15)) + 1
+            ref = reference_lambda(n, spec.alpha)
+            # a step within a few ulps of the bound 1e-9 (1 + |ref|), either side
+            size = 1e-9 * (1.0 + abs(ref)) * (1.0 + rng.uniform(-1e-12, 1e-12))
+            values[n] = ref + size * np.exp(1j * rng.uniform(0, 2 * PI))
+            bad = Spectrum(values=values, config=spec.config, alpha=spec.alpha)
+            rule = abs(values[n] - ref) <= 1e-9 * (1.0 + abs(ref))
+            assert check_degeneration(bad) == rule
 
     def test_single_entry_vacuous(self):
         spec = reference_spectrum(1.0, 1)

@@ -230,6 +230,53 @@ class TestReaders:
         expected = [complex(1.0, -0.0), complex(-0.0, 0.1), complex(2e-3, -7.0)]
         assert _same_bits(op.profile, np.array(expected))
 
+    def _spectrum_text(self, rows):
+        return f"# spectrum gamma=2,0 alpha=0,0.25 m={len(rows)}\n" + "".join(
+            f"{r}\n" for r in rows
+        )
+
+    def test_spectrum_values_equal_float_parse(self, tmp_path):
+        toks = self.TOKENS * 3
+        rows = [f"{j}  {toks[j]}\t{toks[-1 - j]}" for j in range(20)]
+        path = tmp_path / "s.spec"
+        path.write_text(self._spectrum_text(rows))
+        spec = read_spectrum(path)
+        expected = [complex(float(r.split()[1]), float(r.split()[2])) for r in rows]
+        assert _same_bits(spec.values, np.array(expected))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({2: "5 0.5 0.25", 5: "5 oops 0.0"}, "line 4: index 5 out of order"),
+            ({2: "2 0.5", 5: "7 0.5 0.25"}, "line 4: expected 'n re im'"),
+            ({1: "1.0 0.5 0.25"}, "line 3: invalid literal for int() with base 10: '1.0'"),
+            ({3: "9" * 23 + " 0 0"}, f"line 5: index {'9' * 23} out of order"),
+            ({4: "4 0.5 1e400x"}, "line 6: could not convert string to float: '1e400x'"),
+            ({3: "3 inf 0.0", 4: "7 0.5 0.25"}, "line 6: index 7 out of order"),
+            ({3: "3 inf 0.0"}, "line 5: eigenvalue is not finite"),
+            ({6: "6 0.5 nan", 7: "7 -inf 0.0"}, "line 8: eigenvalue is not finite"),
+        ],
+    )
+    def test_spectrum_error_names_first_bad_line(self, tmp_path, bad, message):
+        rows = [f"{j} 0.5 0.25" for j in range(10)]
+        for j, row in bad.items():
+            rows[j] = row
+        path = tmp_path / "s.spec"
+        path.write_text(self._spectrum_text(rows))
+        with pytest.raises(FileFormatError) as err:
+            read_spectrum(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_non_finite_spectrum_exit_2(self, runner, tmp_path):
+        path = tmp_path / "s.spec"
+        rows = [f"{j} {10.0 * (j + 1) ** 2} 0" for j in range(8)]
+        rows[3] = "3 inf 0"
+        path.write_text(self._spectrum_text(rows))
+        args = ["inverse1", "--in", str(path), "--kterms", "8", "--ntrunc", "8"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "line 5: eigenvalue is not finite" in result.output
+
 
 class TestSpectrumProvenance:
     """Spectrum files record the frozen point a; readers and the CLI hold callers to it."""
