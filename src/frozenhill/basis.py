@@ -102,19 +102,23 @@ def gram_matrix(alpha: complex, n_half: int, cross_check: bool = True) -> GramTr
 
 def frame_bounds(alpha: complex, n_half: int) -> tuple[float, float]:
     """Extreme eigenvalues of the Gram truncation: the truncated frame constants."""
-    g = gram_matrix(alpha, n_half, cross_check=False).matrix
-    herm = (g + g.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(herm)
-    return float(eigs[0]), float(eigs[-1])
+    row = riesz_report(alpha, [n_half]).rows[0]
+    return row.lower, row.upper
 
 
 def riesz_report(alpha: complex, n_list) -> RieszReport:
-    """Frame bounds across nested truncations with interlacing diagnostics."""
+    """Frame bounds of nested truncations, each a central block of one G."""
+    n_list = [int(n) for n in n_list]
+    top = max(n_list, default=0)
+    g = _gram_entries(complex(alpha), top)
     rows = []
     for n_half in n_list:
-        lower, upper = frame_bounds(alpha, n_half)
+        block = slice(top - n_half, top + n_half + 1)
+        # G is exactly Hermitian, and eigvalsh reads one triangle
+        eigs = np.linalg.eigvalsh(g[block, block])
+        lower, upper = float(eigs[0]), float(eigs[-1])
         cond = upper / lower if lower > 0 else float("inf")
-        rows.append(RieszRow(n_half=int(n_half), lower=lower, upper=upper, condition=cond))
+        rows.append(RieszRow(n_half=n_half, lower=lower, upper=upper, condition=cond))
     lowers = [r.lower for r in rows]
     uppers = [r.upper for r in rows]
     return RieszReport(

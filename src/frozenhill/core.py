@@ -252,9 +252,6 @@ class Potential:
     def l2_norm(self) -> float:
         return float(np.sqrt(simpson(np.abs(self.samples) ** 2, 1.0 / self.n).real))
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.samples)))
-
 
 def rel_l2_error(p: Potential, q: Potential) -> float:
     """Relative L2 distance between two potentials on a common grid."""

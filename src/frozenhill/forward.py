@@ -70,11 +70,6 @@ class SineSeries:
     def k_max(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def tail_coefficient(self) -> float:
-        """|b_K| of the last retained term, as a decay diagnostic."""
-        return float(abs(self.coeffs[-1]))
-
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Direct sum at arbitrary points; sample_grid is faster on x_j = j/n."""
         xs = np.asarray(xs, dtype=float)

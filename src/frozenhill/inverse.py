@@ -20,7 +20,6 @@ from .core import (
     FrozenConfig,
     Potential,
     Spectrum,
-    delta0,
     delta0_d1,
     delta0_d2,
     reference_lambda_array,
@@ -209,27 +208,26 @@ def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
     refs_all = reference_lambda_array(int(n_scan.max(initial=n_trunc)), alpha)
     refs = refs_all[:n_trunc]
     lams = spec.values[:n_trunc]
+    rows, cols = _collisions(refs, pts, mag, tol)
+    pole_factors = lams[cols] - pts[rows]
+    z_mult = np.bincount(rows, minlength=len(pts))
+    poles = np.bincount(rows[np.abs(pole_factors) > tol[rows]], minlength=len(pts))
     # eigenvalues stored exactly at their reference make the factor 1
     # identically; complex z/z would leave ~1 ulp of imaginary residue
-    exact = lams == refs
-    z_mult, poles = np.zeros((2, len(pts)), dtype=int)
+    exact_at = np.arange(_BLOCK)[:, None] * n_trunc + np.flatnonzero(lams == refs)
     prods = np.empty(len(pts), dtype=complex)
     diff_buf, ratio_buf = np.empty((2, _BLOCK, n_trunc), dtype=complex)
     for lo in range(0, len(pts), _BLOCK):
         hi = min(lo + _BLOCK, len(pts))
-        col, tol_col = pts[lo:hi, None], tol[lo:hi, None]
+        col = pts[lo:hi, None]
         diff = np.subtract(refs, col, out=diff_buf[: hi - lo])
         ratios = np.subtract(lams, col, out=ratio_buf[: hi - lo])
-        colliding = np.abs(diff) <= tol_col
-        if colliding.any():
-            z_mult[lo:hi] = np.count_nonzero(colliding, axis=1)
-            poles[lo:hi] = np.count_nonzero(colliding & (np.abs(ratios) > tol_col), axis=1)
-            # colliding entries keep the pole factor lambda_n - lambda,
-            # paired against a Delta0 zero
-            np.divide(ratios, diff, out=ratios, where=~colliding)
-        else:
+        with np.errstate(divide="ignore", invalid="ignore"):  # overwritten below
             np.divide(ratios, diff, out=ratios)
-        ratios[(z_mult[lo:hi] == 0)[:, None] & exact] = 1.0
+        # colliding entries keep the pole factor, paired against a Delta0 zero
+        first, last = np.searchsorted(rows, (lo, hi))
+        ratios[rows[first:last] - lo, cols[first:last]] = pole_factors[first:last]
+        ratio_buf.reshape(-1)[exact_at[np.flatnonzero(z_mult[lo:hi] == 0)]] = 1.0
         # a row-wise product is sequential, so each value matches the
         # scalar product of that point alone, whatever the block height
         np.prod(ratios, axis=1, out=prods[lo:hi])
@@ -243,7 +241,11 @@ def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
         if len(hits):
             raise PoleInTailError(n_trunc + int(hits[0]))
 
-    free = np.array([delta0(lam_i, gamma) for lam_i in pts.tolist()], dtype=complex)
+    # delta0 as the scalar call rounds it: (2 gamma)*cos(rho) as numpy's scalar multiply
+    c, g, h = np.cos(np.sqrt(pts)), 2.0 * gamma, 1.0 + gamma * gamma
+    free = np.empty(len(pts), dtype=complex)
+    free.real = h.real - (g.real * c.real - g.imag * c.imag)
+    free.imag = h.imag - (g.real * c.imag + g.imag * c.real)
     out = np.zeros(len(pts), dtype=complex)
     for i in np.flatnonzero(~zero):
         lam_i = complex(pts[i])
@@ -261,6 +263,22 @@ def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
     if scalar:
         return complex(out[0]), complex(free[0])
     return out, free
+
+
+def _collisions(refs, pts, mag, tol):
+    """(point, reference) index pairs with |ref - lam| <= tol, ordered by point.
+
+    Only moduli within 2 tol of |lam| are tested; they round at ~1e-16
+    relative.  An overflowing |lam| has tol = inf and hits every reference.
+    """
+    order = np.argsort(np.abs(refs), kind="stable")
+    ref_mag = np.abs(refs[order])
+    lo = np.searchsorted(ref_mag, np.where(tol < np.inf, mag - 2.0 * tol, -np.inf))
+    counts = np.searchsorted(ref_mag, mag + 2.0 * tol, side="right") - lo
+    rows = np.repeat(np.arange(len(pts)), counts)
+    cols = order[np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+    hit = np.abs(refs[cols] - pts[rows]) <= tol[rows]
+    return rows[hit], cols[hit]
 
 
 def _sample_points(k_terms: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ go into the files, so identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 
@@ -99,10 +100,15 @@ def _header_fields(line: str, kind: str, path) -> dict:
     return fields
 
 
+@lru_cache(maxsize=8)
+def _grid_column(n: int) -> tuple[str, ...]:
+    return tuple(["%.17g" % x for x in np.linspace(0.0, 1.0, n + 1).tolist()])
+
+
 def write_potential(path, q: Potential, config: FrozenConfig) -> None:
     header = f"# potential n={q.n} a={fmt_float(config.a)} gamma={fmt_complex(config.gamma)}\n"
     body = _rows(
-        "%.17g %.17g %.17g\n", q.grid().tolist(), q.samples.real.tolist(), q.samples.imag.tolist()
+        "%s %.17g %.17g\n", _grid_column(q.n), q.samples.real.tolist(), q.samples.imag.tolist()
     )
     Path(path).write_text(header + body)
 

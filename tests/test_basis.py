@@ -21,6 +21,13 @@ def dense_gram(alpha, n_half):
     return 0.5 * (sinc_entire(PI * diff) - sinc_entire(PI * summ))
 
 
+def frame_bounds_per_size(alpha, n_half):
+    """Reference: a fresh Gram truncation per size, symmetrised before eigvalsh."""
+    g = gram_matrix(alpha, n_half, cross_check=False).matrix
+    eigs = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
+    return float(eigs[0]), float(eigs[-1])
+
+
 def diagonal_entry(alpha, n):
     """Closed-form G_nn = 1/2 - sin(2(2n+alpha)pi)/(4(2n+alpha)pi) for real alpha."""
     return 0.5 - 0.5 * complex(phi(2 * PI * (2 * n + complex(alpha)), 1.0))
@@ -139,3 +146,20 @@ class TestRieszReport:
     def test_singular_case_reports_inf(self):
         report = riesz_report(0.0, [4])
         assert np.isinf(report.rows[0].condition) or report.rows[0].condition > 1e10
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.3 + 0.1j, 0.5 + 0.5j, 0.25j, 0.0])
+    def test_rows_match_per_size_bounds(self, alpha):
+        # the rows come from blocks of one Gram matrix, unsymmetrised; each
+        # equals its own truncation's bounds exactly, in any size order
+        sizes = [8, 1, 64, 4, 128, 16, 32]
+        report = riesz_report(alpha, sizes)
+        assert [row.n_half for row in report.rows] == sizes
+        for row, n_half in zip(report.rows, sizes):
+            bounds = frame_bounds_per_size(alpha, n_half)
+            assert (row.lower, row.upper) == bounds
+            assert frame_bounds(alpha, n_half) == bounds
+
+    def test_empty_size_list(self):
+        report = riesz_report(0.25, [])
+        assert report.rows == ()
+        assert report.lower_nonincreasing and report.upper_nondecreasing

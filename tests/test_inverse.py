@@ -45,8 +45,8 @@ from frozenhill import (
     reference_lambda,
     rel_l2_error,
 )
-from frozenhill.core import delta0_d1, delta0_d2
-from frozenhill.inverse import _BLOCK
+from frozenhill.core import delta0_d1, delta0_d2, reference_lambda_array
+from frozenhill.inverse import _BLOCK, _delta_and_delta0
 
 PI = np.pi
 
@@ -252,6 +252,121 @@ class TestBlockedProduct:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+
+#: couplings of both degenerate signs, a real and a complex generic one and
+#: the two near-degenerate ones
+WINDOW_GAMMAS = (1.0, -1.0, 2.0, 0.5 + 0.5j, 1.02, -1.05)
+
+
+def synthetic_spectrum(gamma, m, seed):
+    """Reference zeros moved by ~1e-3 relative, every third left exactly in place.
+
+    For gamma = +-1 the odd-indexed values stay on their references too, as
+    degenerate data require.
+    """
+    alpha = compute_alpha(gamma)
+    refs = np.array([reference_lambda(n, alpha) for n in range(m)])
+    rng = np.random.default_rng(seed)
+    values = refs * (1 + 1e-3 * (rng.normal(size=m) + 1j * rng.normal(size=m)))
+    keep = np.arange(m) % 3 == 0
+    if gamma in (1, -1):
+        keep |= np.arange(m) % 2 == 1
+    values[keep] = refs[keep]
+    return Spectrum(values=values, config=FrozenConfig(a=0.0, gamma=gamma), alpha=alpha)
+
+
+def window_points(refs, rng):
+    """Points just inside and just outside the collision tolerance of refs.
+
+    Each reference gets offsets of (1 -+ 1e-3) tol along its own direction
+    (where only the moduli differ), against it and at a random angle.
+    """
+    pts = []
+    for r in refs:
+        tol = 1e-8 * (1 + abs(r))
+        radial = r / abs(r) if r != 0 else 1.0
+        for f in (1 - 1e-3, 1 + 1e-3):
+            for turn in (radial, -radial, np.exp(2j * PI * rng.uniform())):
+                pts.append(r + f * tol * turn)
+    return pts
+
+
+class TestCollisionWindow:
+    """Collisions come from a window of sorted moduli; none may be missed or added."""
+
+    @pytest.mark.parametrize("gamma", WINDOW_GAMMAS)
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_boundary_points_match_pointwise(self, gamma, count):
+        n_trunc = 24
+        spec = synthetic_spectrum(gamma, n_trunc, seed=count)
+        refs = np.array([reference_lambda(n, spec.alpha) for n in range(n_trunc)])
+        rng = np.random.default_rng(count)
+        pts = window_points(refs[rng.choice(n_trunc, 3, replace=False)], rng)
+        pts += [-7.5, -(3 * PI) ** 2, 0.5 * (refs[4] + refs[5]), refs[7] + 3j, refs[0]]
+        pts = np.array(pts)[rng.permutation(len(pts))][:count]
+        batch = delta_from_spectrum(spec, pts, n_trunc)
+        single = [delta_from_spectrum(spec, lam, n_trunc) for lam in pts]
+        scalar = [delta_pointwise(spec, lam, n_trunc) for lam in pts]
+        assert np.array_equal(batch.view(np.int64), np.array(single).view(np.int64))
+        assert np.array_equal(batch.view(np.int64), np.array(scalar).view(np.int64))
+
+    def test_overflowing_modulus_collides_everywhere(self):
+        # |lam| overflows to inf, so does tol: every reference collides, no
+        # pole cancels, and the value is the zero of Delta0
+        spec = synthetic_spectrum(2.0, 20, seed=3)
+        lams = np.array([1.5e308 + 1.5e308j, 3.0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = delta_from_spectrum(spec, lams, 20)
+            single = delta_from_spectrum(spec, lams[0], 20)
+        assert batch[0] == single == 0
+        assert batch[1] == delta_pointwise(spec, 3.0, 20)
+
+    @pytest.mark.parametrize("gamma", WINDOW_GAMMAS)
+    def test_tail_boundary_raises_same_index(self, gamma):
+        spec = synthetic_spectrum(gamma, 30, seed=1)
+        refs = reference_lambda_array(30, spec.alpha)
+        rng = np.random.default_rng(2)
+        inside, outside = [], []
+        for lam in window_points(refs[[20, 27]], rng):
+            try:
+                delta_pointwise(spec, lam, 20)
+                outside.append(lam)
+            except PoleInTailError as err:
+                inside.append((lam, err.index))
+        # (1 - 1e-3) tol from reference 27; from 20 too unless, as for
+        # gamma = 1, it doubles head zero 19 that a kept eigenvalue cancels
+        assert len(inside) >= 3
+        for lam, index in inside:
+            lams = np.array([-3.0, *outside[:5], lam, 7.0])
+            with pytest.raises(PoleInTailError) as batch:
+                delta_from_spectrum(spec, lams, 20)
+            assert batch.value.index == index
+        assert np.array_equal(
+            delta_from_spectrum(spec, np.array(outside), 20),
+            [delta_pointwise(spec, lam, 20) for lam in outside],
+        )
+
+
+class TestArrayDelta0:
+    @pytest.mark.parametrize(
+        "gamma", [2.0, 0.5 + 0.5j, complex(np.exp(1j * PI / 4)), -1.05, 1.02, 1.0, -1.0, 3j]
+    )
+    def test_equals_scalar_delta0(self, gamma):
+        # Delta0 beside the product equals delta0 bit for bit, also where
+        # cos(sqrt(lambda)) overflows (Re lambda below about -5e5) and the
+        # value turns infinite or NaN
+        rng = np.random.default_rng(30)
+        mag = 10.0 ** rng.uniform(-3, 7, 600)
+        lams = mag * np.exp(2j * PI * rng.uniform(size=600))
+        lams[:100] = -mag[:100]
+        lams[100:150] = -((700.0 + 30 * rng.uniform(size=50)) ** 2) + 1j * rng.normal(size=50)
+        spec = synthetic_spectrum(gamma, 1, seed=0)
+        with np.errstate(all="ignore"):
+            _, got = _delta_and_delta0(spec, lams, 1)
+            want = np.array([delta0(lam, gamma) for lam in lams.tolist()])
+        assert np.count_nonzero(~np.isfinite(want)) >= 20
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestRecoverW:

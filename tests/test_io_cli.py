@@ -125,6 +125,16 @@ class TestWriterBytes:
         lines += [f"{j / 16:.17g} {v.real:.17g} {v.imag:.17g}" for j, v in enumerate(samples)]
         assert path.read_text() == "\n".join(lines) + "\n"
 
+    def test_potential_x_column_follows_the_grid(self, tmp_path):
+        # the x strings are formatted once per n; writes at another n in
+        # between must not leak into each other
+        for n in (30, 2048, 30):
+            q = Potential(np.arange(n + 1) * (1 - 1j))
+            path = tmp_path / f"q{n}.pot"
+            write_potential(path, q, FrozenConfig(a=0.0, gamma=2.0))
+            xs = [line.split()[0] for line in path.read_text().splitlines()[1:]]
+            assert xs == [f"{x:.17g}" for x in np.linspace(0.0, 1.0, n + 1)]
+
     def test_spectrum_bytes(self, tmp_path):
         values = _complex_array(np.array(AWKWARD), np.array(AWKWARD[::-1]))
         spec = Spectrum(values=values, config=FrozenConfig(a=0.75, gamma=2.0),
