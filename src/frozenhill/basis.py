@@ -12,7 +12,15 @@ G_mn = int_0^1 sin(u_m pi x) conj(sin(v_n pi x)) dx
      = [sinc((u_m - v_n) pi) - sinc((u_m + v_n) pi)] / 2,
 and u_m - v_n = 2(m - n) + 2i Im(alpha), u_m + v_n = 2(m + n) + 2 Re(alpha).
 So G = (T - H)/2 with T Toeplitz in m - n and H Hankel in m + n: the
-4N+1 values of each are computed once and G is filled by indexing.
+4N+1 values of each are computed once and G is read off sliding windows.
+
+The eigenvalues come from a real symmetric matrix unitarily similar to G
+whenever alpha makes G so.  A real alpha (|gamma| = 1) makes G real.
+Re(alpha) = 0 (gamma > 0) makes H even, so G is exactly centro-Hermitian,
+G[-p, -q] = conj(G[p, q]), and real in the basis u_N..u_1, e_0, v_1..v_N with
+u_p = (e_p + e_-p)/sqrt(2), v_p = i(e_p - e_-p)/sqrt(2) (A. Lee, Linear Algebra
+Appl. 29, 1980); the real form of a central block is then the central block
+of the real form.  Any other G keeps the complex Hermitian eigensolver.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import PI, simpson_weights, sinc_entire
 from .errors import FrozenHillError
@@ -64,8 +73,30 @@ def _gram_entries(alpha: complex, n_half: int) -> np.ndarray:
     offsets = 2.0 * np.arange(-2 * n_half, 2 * n_half + 1)  # 2(m-n) and 2(m+n)
     toeplitz = sinc_entire(PI * (offsets + 2j * alpha.imag))
     hankel = sinc_entire(PI * (offsets + 2.0 * alpha.real))
-    i = np.arange(2 * n_half + 1)
-    return 0.5 * (toeplitz[i[:, None] - i + 2 * n_half] - hankel[i[:, None] + i])
+    w = 2 * n_half + 1
+    g = np.subtract(sliding_window_view(toeplitz, w)[:, ::-1], sliding_window_view(hankel, w))
+    return np.multiply(g, 0.5, out=g)
+
+
+def _real_form(g: np.ndarray, alpha: complex) -> np.ndarray:
+    """Real form of G(alpha) where alpha makes G real or centro-Hermitian, else g itself."""
+    if alpha.imag == 0:  # T and H real; alpha, not g, decides, so all blocks take one path
+        return g.real
+    if alpha.real != 0:  # H not even
+        return g
+    n = len(g) // 2
+    # A = G[p, q], B = G[p, -q] and G[0, q] for p, q = N..1
+    a, b, c = g[:n:-1, :n:-1], g[:n:-1, :n], g[n, :n:-1]
+    r = np.empty(g.shape)
+    np.add(a.real, b.real, out=r[:n, :n])  # u_p . u_q
+    np.subtract(a.real, b.real, out=r[:n:-1, :n:-1])  # v_p . v_q
+    np.subtract(b.imag, a.imag, out=r[:n, :n:-1])  # u_p . v_q
+    r[n + 1 :, :n] = r[:n, n + 1 :].T
+    np.multiply(c.real, np.sqrt(2.0), out=r[n, :n])
+    np.multiply(c.imag, -np.sqrt(2.0), out=r[n, :n:-1])
+    r[n, n] = g[n, n].real
+    r[:, n] = r[n]
+    return r
 
 
 def _quadrature_rows(alpha: complex, ms: np.ndarray) -> np.ndarray:
@@ -110,11 +141,12 @@ def riesz_report(alpha: complex, n_list) -> RieszReport:
     """Frame bounds of nested truncations, each a central block of one G."""
     n_list = [int(n) for n in n_list]
     top = max(n_list, default=0)
-    g = _gram_entries(complex(alpha), top)
+    alpha = complex(alpha)
+    g = _real_form(_gram_entries(alpha, top), alpha)
     rows = []
     for n_half in n_list:
         block = slice(top - n_half, top + n_half + 1)
-        # G is exactly Hermitian, and eigvalsh reads one triangle
+        # G and its real form are exactly symmetric, and eigvalsh reads one triangle
         eigs = np.linalg.eigvalsh(g[block, block])
         lower, upper = float(eigs[0]), float(eigs[-1])
         cond = upper / lower if lower > 0 else float("inf")
@@ -122,7 +154,7 @@ def riesz_report(alpha: complex, n_list) -> RieszReport:
     lowers = [r.lower for r in rows]
     uppers = [r.upper for r in rows]
     return RieszReport(
-        alpha=complex(alpha),
+        alpha=alpha,
         rows=tuple(rows),
         lower_nonincreasing=all(b <= a + 1e-12 for a, b in zip(lowers, lowers[1:])),
         upper_nondecreasing=all(b >= a - 1e-12 for a, b in zip(uppers, uppers[1:])),

@@ -95,9 +95,6 @@ class SineSeries:
         out[0] = out[n] = 0.0
         return out
 
-    def on_grid(self, n: int) -> Potential:
-        return Potential(self.sample_grid(n))
-
 
 @dataclass(frozen=True)
 class FundamentalSolutions:

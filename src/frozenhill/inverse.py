@@ -246,8 +246,14 @@ def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
     free = np.empty(len(pts), dtype=complex)
     free.real = h.real - (g.real * c.real - g.imag * c.imag)
     free.imag = h.imag - (g.real * c.imag + g.imag * c.real)
+    # rows free of collisions: free * prods rounded as the scalar multiply below,
+    # which may set other NaN signs, so rows with non-finite factors stay there
+    plain = (z_mult == 0) & np.isfinite(free) & np.isfinite(prods)
+    f, p = free[plain], prods[plain]
     out = np.zeros(len(pts), dtype=complex)
-    for i in np.flatnonzero(~zero):
+    out.real[plain] = f.real * p.real - f.imag * p.imag
+    out.imag[plain] = f.real * p.imag + f.imag * p.real
+    for i in np.flatnonzero(~zero & ~plain):
         lam_i = complex(pts[i])
         if z_mult[i] == 0:
             limit = free[i]

@@ -1,14 +1,22 @@
 """Tests for the Gram-truncation frame-bound diagnostics of the sine system."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frozenhill import FrozenHillError, frame_bounds, gram_matrix, riesz_report
+from frozenhill import FrozenHillError, compute_alpha, frame_bounds, gram_matrix, riesz_report
 from frozenhill import basis
-from frozenhill.basis import _gram_entries, _quadrature_entry
+from frozenhill.basis import _gram_entries, _quadrature_entry, _real_form
 from frozenhill.core import phi, sinc_entire
 
 PI = np.pi
+
+#: backward-error scale of either eigensolver, in units of max(1, |upper|)
+EIG_ULPS = 64 * np.finfo(float).eps
 
 
 def dense_gram(alpha, n_half):
@@ -26,6 +34,45 @@ def frame_bounds_per_size(alpha, n_half):
     g = gram_matrix(alpha, n_half, cross_check=False).matrix
     eigs = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
     return float(eigs[0]), float(eigs[-1])
+
+
+def gather_gram(alpha, n_half):
+    """Reference: G = (T - H)/2 gathered from the diagonals by index matrices."""
+    alpha = complex(alpha)
+    offsets = 2.0 * np.arange(-2 * n_half, 2 * n_half + 1)
+    toeplitz = sinc_entire(PI * (offsets + 2j * alpha.imag))
+    hankel = sinc_entire(PI * (offsets + 2.0 * alpha.real))
+    i = np.arange(2 * n_half + 1)
+    return 0.5 * (toeplitz[i[:, None] - i + 2 * n_half] - hankel[i[:, None] + i])
+
+
+def assert_bounds_match(got, want, exact):
+    if exact:
+        assert got == want
+    else:
+        tol = EIG_ULPS * max(1.0, abs(want[1]))
+        assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol
+
+
+def assert_structure(g, alpha):
+    """The exact structure the real form assumes for this alpha."""
+    if alpha.imag == 0:
+        assert not g.imag.any()
+    elif alpha.real == 0:
+        re, im = g.real, g.imag
+        assert np.array_equal(re[::-1, ::-1], re) and np.array_equal(im[::-1, ::-1], -im)
+
+
+def random_hermitian(rng, n_half, kind):
+    """Odd-size Hermitian matrix: exactly real, exactly centro-Hermitian or general."""
+    size = 2 * n_half + 1
+    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    if kind == "real":
+        a = a.real + 0j
+    g = a + a.conj().T
+    if kind == "centro":
+        g = (g + g[::-1, ::-1].conj()) / 2.0
+    return g
 
 
 def diagonal_entry(alpha, n):
@@ -149,17 +196,104 @@ class TestRieszReport:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.3 + 0.1j, 0.5 + 0.5j, 0.25j, 0.0])
     def test_rows_match_per_size_bounds(self, alpha):
-        # the rows come from blocks of one Gram matrix, unsymmetrised; each
-        # equals its own truncation's bounds exactly, in any size order
+        # the rows come from blocks of one matrix, in any size order: blocks
+        # of G equal each truncation's complex bounds exactly; blocks of its
+        # real form are unitarily similar and agree to the backward error
         sizes = [8, 1, 64, 4, 128, 16, 32]
         report = riesz_report(alpha, sizes)
+        real_path = alpha not in (0.3 + 0.1j, 0.5 + 0.5j)  # real, or Re(alpha) = 0
+        for n_half in (1, 2, max(sizes)):
+            g = _gram_entries(alpha, n_half)
+            assert (_real_form(g, complex(alpha)) is not g) == real_path
         assert [row.n_half for row in report.rows] == sizes
         for row, n_half in zip(report.rows, sizes):
-            bounds = frame_bounds_per_size(alpha, n_half)
-            assert (row.lower, row.upper) == bounds
+            bounds = (row.lower, row.upper)
+            assert_bounds_match(bounds, frame_bounds_per_size(alpha, n_half), exact=not real_path)
             assert frame_bounds(alpha, n_half) == bounds
+
+    @pytest.mark.parametrize("gamma", [2.0, 0.5 + 0.5j, complex(np.exp(1j * PI / 4)), 1e-3])
+    def test_peak_memory(self, gamma):
+        alpha = compute_alpha(gamma).alpha
+        tracemalloc.start()
+        try:
+            riesz_report(alpha, [4, 8, 16, 32, 64, 128, 256])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_empty_size_list(self):
         report = riesz_report(0.25, [])
         assert report.rows == ()
         assert report.lower_nonincreasing and report.upper_nondecreasing
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("kind", ["real", "centro", "general"])
+    @pytest.mark.parametrize("n_half", [0, 1, 2, 7, 40])
+    def test_eigenvalues_match_complex(self, kind, n_half):
+        g = random_hermitian(np.random.default_rng(n_half), n_half, kind)
+        r = _real_form(g, {"real": 1.0 + 0j, "centro": 1j, "general": 1 + 1j}[kind])
+        if kind == "general":
+            assert r is g
+            return
+        assert r.dtype == float and r.shape == g.shape
+        want = np.linalg.eigvalsh(g)
+        tol = EIG_ULPS * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(np.linalg.eigvalsh(r) - want)) <= tol
+
+    def test_paths_follow_alpha(self):
+        real = _gram_entries(0.25, 8)
+        assert np.shares_memory(_real_form(real, 0.25 + 0j), real)  # real G: its real part
+        alpha = compute_alpha(2.0).alpha  # Re(alpha) = 0: h even
+        assert _real_form(_gram_entries(alpha, 8), alpha).dtype == float
+        general = _gram_entries(0.25 + 0.11j, 8)
+        assert _real_form(general, 0.25 + 0.11j) is general
+
+    @pytest.mark.parametrize(
+        "gamma", [2.0, 3.0, 0.3, 1e-3, 1j, complex(np.exp(1j * PI / 4)), -1.0, 0.5 + 0.5j]
+    )
+    def test_gram_has_the_structure_alpha_promises(self, gamma):
+        alpha = compute_alpha(gamma).alpha
+        assert_structure(_gram_entries(alpha, 256), alpha)
+
+    @pytest.mark.parametrize("source", ["random", "gram"])
+    def test_central_blocks_commute(self, source):
+        top = 24
+        if source == "random":
+            alpha = 1j
+            g = random_hermitian(np.random.default_rng(3), top, "centro")
+        else:
+            alpha = compute_alpha(3.0).alpha
+            g = _gram_entries(alpha, top)
+        r = _real_form(g, alpha)
+        for n_half in range(top + 1):
+            block = slice(top - n_half, top + n_half + 1)
+            assert np.array_equal(r[block, block], _real_form(g[block, block], alpha))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 0.25, 0.22j, 0.25 + 0.11j, 1 + 0.22j])
+    @pytest.mark.parametrize("n_half", [0, 1, 4, 256])
+    def test_gather_free_build_is_bit_identical(self, alpha, n_half):
+        got, want = _gram_entries(alpha, n_half), gather_gram(alpha, n_half)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["i*beta", "rho", "1/2+i*beta"]),
+    x=st.floats(0.0, 1.0),
+    n_max=st.integers(1, 48),
+)
+def test_real_path_rows_match_complex_path(family, x, n_max):
+    alpha = {"i*beta": 1j * x, "rho": complex(x), "1/2+i*beta": 0.5 + 1j * x}[family]
+    sizes = [n_max // 4, n_max // 2, n_max]
+    assert_structure(_gram_entries(alpha, n_max), alpha)
+    report = riesz_report(alpha, sizes)
+    with mock.patch.object(basis, "_real_form", lambda g, alpha: g):
+        complex_path = riesz_report(alpha, sizes)
+    for row, ref in zip(report.rows, complex_path.rows):
+        assert row.n_half == ref.n_half
+        assert_bounds_match((row.lower, row.upper), (ref.lower, ref.upper), exact=False)
+    assert report.lower_nonincreasing == complex_path.lower_nonincreasing
+    assert report.upper_nondecreasing == complex_path.upper_nondecreasing

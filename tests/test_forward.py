@@ -538,10 +538,6 @@ class TestSineSeriesGrid:
         got = SineSeries(b).sample_grid(n)
         assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
-    def test_on_grid_uses_grid_synthesis(self):
-        series = SineSeries(np.array([1.0, 0.5j]))
-        assert np.array_equal(series.on_grid(32).samples, series.sample_grid(32))
-
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigError):
             SineSeries(np.array([1.0])).sample_grid(0)

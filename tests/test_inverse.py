@@ -111,6 +111,24 @@ class TestDeltaFromSpectrum:
         assert np.array_equal(batch, [delta_from_spectrum(spec, lam, 120) for lam in lams])
         assert np.array_equal(batch, [delta_pointwise(spec, lam, 120) for lam in lams])
 
+    @pytest.mark.parametrize("gamma", [2.0, 0.5 + 0.5j, complex(np.exp(1j * PI / 4))])
+    def test_nonfinite_factors_match_pointwise(self, gamma):
+        # NaN and inf eigenvalues, and far points whose Delta0 overflows: the
+        # array multiply of Delta0 by the product keeps the scalar's bits
+        spec = reference_spectrum(gamma, 60)
+        values = spec.values.copy()
+        values[[3, 17, 40]] = [complex(np.nan, 1.0), np.inf, complex(1.0, np.nan)]
+        broken = Spectrum(values=values, config=spec.config, alpha=spec.alpha)
+        lams = np.concatenate(
+            [[(PI * k) ** 2 for k in range(1, 61)], -np.logspace(2, 8, 20), 1j * np.logspace(2, 8, 20)]
+        )
+        with np.errstate(all="ignore"):
+            for s in (spec, broken):
+                got = delta_from_spectrum(s, lams, 60)
+                want = np.array([delta_pointwise(s, lam, 60) for lam in lams])
+                assert not np.all(np.isfinite(got))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_pole_in_tail_same_in_both_forms(self):
         spec = reference_spectrum(2.0, 40)
         first, second = reference_lambda(30, spec.alpha), reference_lambda(25, spec.alpha)
