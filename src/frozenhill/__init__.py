@@ -42,7 +42,6 @@ from .forward import (
     build_w,
     compute_spectrum,
     eval_delta_det,
-    eval_delta_factored,
     eval_delta_fundrep,
     fundamental_solutions,
     verify_asymptotics,
@@ -60,6 +59,7 @@ from .inverse import (
     delta_from_spectrum,
     isobispectral_family,
     isospectral_family,
+    reconstruct,
     recover_w,
 )
 from .basis import GramTruncation, RieszReport, frame_bounds, gram_matrix, riesz_report
@@ -100,7 +100,6 @@ __all__ = [
     "delta0",
     "delta_from_spectrum",
     "eval_delta_det",
-    "eval_delta_factored",
     "eval_delta_fundrep",
     "frame_bounds",
     "fundamental_solutions",
@@ -108,6 +107,7 @@ __all__ = [
     "isobispectral_family",
     "isospectral_family",
     "phi",
+    "reconstruct",
     "recover_w",
     "reference_lambda",
     "reference_rho",

@@ -7,36 +7,19 @@ error, 4 numerical/convergence failure, 5 tolerance failure in a check.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 
 import click
-import numpy as np
 
 from .basis import riesz_report
-from .core import (
-    FrozenConfig,
-    Potential,
-    compute_alpha,
-    rel_l2_error,
-    snap_index,
-)
-from .errors import (
-    ConfigError,
-    FileFormatError,
-    FrozenHillError,
-    PoleInTailError,
-    RootIsolationError,
-)
+from .core import FrozenConfig, compute_alpha, rel_l2_error
+from .errors import ConfigError, FileFormatError, FrozenHillError
 from .forward import compute_spectrum, verify_asymptotics
 from .inverse import (
     TwoSpectra,
-    algorithm1,
-    algorithm2,
-    algorithm3,
-    algorithm4,
     check_growth,
     isobispectral_family,
     isospectral_family,
+    reconstruct,
 )
 from . import io as fio
 
@@ -47,36 +30,6 @@ EXIT_NUMERIC = 4
 EXIT_TOLERANCE = 5
 
 _A_HELP = "frozen point; defaults to the spectrum file's a= field, else 0"
-
-
-@dataclass
-class JobConfig:
-    """Validated bundle of CLI parameters for one command invocation."""
-
-    command: str
-    config: FrozenConfig | None = None
-    grid_n: int = 1024
-    m_eigs: int = 40
-    k_terms: int = 60
-    n_trunc: int = 60
-    tol: float = 1e-3
-    in_path: str | None = None
-    in2_path: str | None = None
-    out_path: str | None = None
-    op_paths: tuple = field(default_factory=tuple)
-
-    def validate(self):
-        for name, value in (
-            ("grid", self.grid_n),
-            ("m", self.m_eigs),
-            ("kterms", self.k_terms),
-            ("ntrunc", self.n_trunc),
-        ):
-            if value < 1:
-                raise ConfigError(f"--{name} must be positive, got {value}")
-        if self.config is not None:
-            snap_index(self.config.a, self.grid_n)
-        return self
 
 
 def _fail(code: int, exc: Exception):
@@ -90,12 +43,10 @@ def _guarded(fn):
         fn()
     except FileFormatError as exc:
         _fail(EXIT_PARSE, exc)
-    except (FileNotFoundError, OSError) as exc:
+    except OSError as exc:
         _fail(EXIT_PARSE, exc)
     except ConfigError as exc:
         _fail(EXIT_PRECONDITION, exc)
-    except (RootIsolationError, PoleInTailError) as exc:
-        _fail(EXIT_NUMERIC, exc)
     except FrozenHillError as exc:
         _fail(EXIT_NUMERIC, exc)
 
@@ -110,6 +61,37 @@ def _resolve_config(file_config: FrozenConfig, a: float | None, gamma: str | Non
     new_a = file_config.a if a is None else a
     new_gamma = file_config.gamma if gamma is None else _gamma_option(gamma)
     return FrozenConfig(a=new_a, gamma=new_gamma)
+
+
+def _read_operator(op_path: str | None):
+    return None if op_path is None else fio.read_operator(op_path)
+
+
+def _echo_reconstruction(q, config: FrozenConfig, out_path: str | None):
+    click.echo(f"reconstructed potential on n={q.n} grid, L2 norm {q.l2_norm():.6g}")
+    if out_path:
+        fio.write_potential(out_path, q, config)
+        click.echo(f"wrote {out_path}")
+
+
+def _constant_profiles(op_paths) -> list:
+    """Profiles of the constant-operator files that generate family members."""
+    profiles = []
+    for p in op_paths:
+        op = fio.read_operator(p)
+        if op.kind != "constant":
+            raise ConfigError(f"{p}: family generation uses constant operators")
+        profiles.append(op.profile)
+    return profiles
+
+
+def _echo_members(members, config: FrozenConfig, out_path: str | None):
+    for i, member in enumerate(members):
+        click.echo(f"member {i}: L2 norm {member.l2_norm():.6g}")
+        if out_path:
+            fio.write_potential(f"{out_path}.{i}.pot", member, config)
+    if out_path:
+        click.echo(f"wrote {len(members)} member file(s) under {out_path}.*.pot")
 
 
 def _print_spectrum_summary(spec, limit: int = 8):
@@ -143,10 +125,7 @@ def forward(in_path, a, gamma, m_eigs, out_path):
     def body():
         q, file_cfg = fio.read_potential(in_path)
         cfg = _resolve_config(file_cfg, a, gamma)
-        job = JobConfig(
-            command="forward", config=cfg, grid_n=q.n, m_eigs=m_eigs
-        ).validate()
-        spec = compute_spectrum(q, cfg, job.m_eigs)
+        spec = compute_spectrum(q, cfg, m_eigs)
         _print_spectrum_summary(spec)
         if out_path:
             fio.write_spectrum(out_path, spec)
@@ -169,24 +148,8 @@ def inverse1(in_path, a, kterms, ntrunc, grid_n, op_path, out_path):
 
     def body():
         spec = fio.read_spectrum(in_path, a=a)
-        cfg = spec.config
-        job = JobConfig(
-            command="inverse1", config=cfg, grid_n=grid_n, k_terms=kterms, n_trunc=ntrunc
-        ).validate()
-        if cfg.gamma in (1, -1):
-            if op_path is None:
-                raise ConfigError(
-                    "gamma = +-1 is the degenerate case: supply --op with the operator "
-                    "coupling the two halves of the shifted potential"
-                )
-            k_op = fio.read_operator(op_path)
-            q = algorithm2(spec, cfg, k_op, job.k_terms, job.n_trunc, job.grid_n)
-        else:
-            q = algorithm1(spec, cfg, job.k_terms, job.n_trunc, job.grid_n)
-        click.echo(f"reconstructed potential on n={q.n} grid, L2 norm {q.l2_norm():.6g}")
-        if out_path:
-            fio.write_potential(out_path, q, cfg)
-            click.echo(f"wrote {out_path}")
+        q = reconstruct(spec, kterms, ntrunc, grid_n, _read_operator(op_path))
+        _echo_reconstruction(q, spec.config, out_path)
 
     _guarded(body)
 
@@ -208,32 +171,9 @@ def inverse2(in_path, in2_path, a_opt, kterms, ntrunc, grid_n, op_path, out_path
         spec0 = fio.read_spectrum(in_path, a=a_opt)
         a = spec0.config.a
         spec1 = fio.read_spectrum(in2_path, a=a)
-        job = JobConfig(
-            command="inverse2",
-            config=FrozenConfig(a=a, gamma=1.0),
-            grid_n=grid_n,
-            k_terms=kterms,
-            n_trunc=ntrunc,
-        ).validate()
-        mirrored = a > 0.5
-        eff_a = 1.0 - a if mirrored else a
-        two = TwoSpectra(spec0=spec0, spec1=spec1, a=eff_a)
-        if eff_a in (0.0, 1.0):
-            q = algorithm3(two, job.k_terms, job.n_trunc, job.grid_n)
-        else:
-            if op_path is None:
-                raise ConfigError(
-                    "interior frozen point needs --op: the spectra pair determines the "
-                    "potential only up to its profile on one side of a"
-                )
-            p_op = fio.read_operator(op_path)
-            q = algorithm4(two, p_op, job.k_terms, job.n_trunc, job.grid_n)
-        if mirrored:
-            q = Potential(q.samples[::-1].copy())
-        click.echo(f"reconstructed potential on n={q.n} grid, L2 norm {q.l2_norm():.6g}")
-        if out_path:
-            fio.write_potential(out_path, q, FrozenConfig(a=a, gamma=1.0))
-            click.echo(f"wrote {out_path}")
+        two = TwoSpectra(spec0=spec0, spec1=spec1, a=a)
+        q = reconstruct(two, kterms, ntrunc, grid_n, _read_operator(op_path))
+        _echo_reconstruction(q, FrozenConfig(a=a, gamma=1.0), out_path)
 
     _guarded(body)
 
@@ -256,23 +196,9 @@ def roundtrip(in_path, a, gamma, m_eigs, kterms, ntrunc, tol, op_path, out_path)
     def body():
         q, file_cfg = fio.read_potential(in_path)
         cfg = _resolve_config(file_cfg, a, gamma)
-        job = JobConfig(
-            command="roundtrip",
-            config=cfg,
-            grid_n=q.n,
-            m_eigs=m_eigs,
-            k_terms=kterms,
-            n_trunc=ntrunc,
-            tol=tol,
-        ).validate()
-        spec = compute_spectrum(q, cfg, job.m_eigs)
-        if cfg.gamma in (1, -1):
-            if op_path is None:
-                raise ConfigError("gamma = +-1 roundtrip needs --op")
-            k_op = fio.read_operator(op_path)
-            q_rec = algorithm2(spec, cfg, k_op, job.k_terms, job.n_trunc, q.n)
-        else:
-            q_rec = algorithm1(spec, cfg, job.k_terms, job.n_trunc, q.n)
+        op = _read_operator(op_path)
+        spec = compute_spectrum(q, cfg, m_eigs)
+        q_rec = reconstruct(spec, kterms, ntrunc, q.n, op)
         err = rel_l2_error(q_rec, q)
         status = "PASS" if err <= tol else "FAIL"
         click.echo(f"relative L2 reconstruction error: {err:.6e}  [{status}, tol {tol:g}]")
@@ -300,23 +226,9 @@ def isospectral(in_path, a, op_paths, kterms, ntrunc, grid_n, out_path):
 
     def body():
         spec = fio.read_spectrum(in_path, a=a)
-        cfg = spec.config
-        job = JobConfig(
-            command="isospectral", config=cfg, grid_n=grid_n, k_terms=kterms, n_trunc=ntrunc
-        ).validate()
-        profiles = []
-        for p in op_paths:
-            op = fio.read_operator(p)
-            if op.kind != "constant":
-                raise ConfigError(f"{p}: family generation uses constant operators")
-            profiles.append(op.profile)
-        members = isospectral_family(spec, cfg, profiles, job.k_terms, job.n_trunc, job.grid_n)
-        for i, member in enumerate(members):
-            click.echo(f"member {i}: L2 norm {member.l2_norm():.6g}")
-            if out_path:
-                fio.write_potential(f"{out_path}.{i}.pot", member, cfg)
-        if out_path:
-            click.echo(f"wrote {len(members)} member file(s) under {out_path}.*.pot")
+        profiles = _constant_profiles(op_paths)
+        members = isospectral_family(spec, spec.config, profiles, kterms, ntrunc, grid_n)
+        _echo_members(members, spec.config, out_path)
 
     _guarded(body)
 
@@ -336,27 +248,9 @@ def isobispectral(in_path, in2_path, a, op_paths, kterms, ntrunc, grid_n, out_pa
     def body():
         spec0 = fio.read_spectrum(in_path, a=a)
         spec1 = fio.read_spectrum(in2_path, a=a)
-        job = JobConfig(
-            command="isobispectral",
-            config=FrozenConfig(a=a, gamma=1.0),
-            grid_n=grid_n,
-            k_terms=kterms,
-            n_trunc=ntrunc,
-        ).validate()
         two = TwoSpectra(spec0=spec0, spec1=spec1, a=a)
-        profiles = []
-        for p in op_paths:
-            op = fio.read_operator(p)
-            if op.kind != "constant":
-                raise ConfigError(f"{p}: family generation uses constant operators")
-            profiles.append(op.profile)
-        members = isobispectral_family(two, profiles, job.k_terms, job.n_trunc, job.grid_n)
-        for i, member in enumerate(members):
-            click.echo(f"member {i}: L2 norm {member.l2_norm():.6g}")
-            if out_path:
-                fio.write_potential(f"{out_path}.{i}.pot", member, FrozenConfig(a=a, gamma=1.0))
-        if out_path:
-            click.echo(f"wrote {len(members)} member file(s) under {out_path}.*.pot")
+        members = isobispectral_family(two, _constant_profiles(op_paths), kterms, ntrunc, grid_n)
+        _echo_members(members, FrozenConfig(a=a, gamma=1.0), out_path)
 
     _guarded(body)
 
@@ -416,14 +310,8 @@ def growthcheck(in_path, in2_path, a, ntrunc, grid_n):
     def body():
         spec0 = fio.read_spectrum(in_path, a=a)
         spec1 = fio.read_spectrum(in2_path, a=a)
-        job = JobConfig(
-            command="growthcheck",
-            config=FrozenConfig(a=a, gamma=1.0),
-            grid_n=grid_n,
-            n_trunc=ntrunc,
-        ).validate()
         two = TwoSpectra(spec0=spec0, spec1=spec1, a=a)
-        report = check_growth(two, job.n_trunc, job.grid_n)
+        report = check_growth(two, ntrunc, grid_n)
         status = "PASS" if report.passed else "FAIL"
         click.echo(
             f"max |w0 + w1| on (1-a, 1): {report.max_violation:.6e} "

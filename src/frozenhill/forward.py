@@ -260,26 +260,35 @@ def _half_profile(w: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xs, wts, w.samples[half::-1]
 
 
-def eval_delta_factored(lam: complex, w: Potential, gamma: complex) -> complex:
-    """Periodic/antiperiodic factorisation of Delta for gamma = +-1.
+def _cofactor(w: Potential, gamma: complex):
+    """The gamma = +-1 cofactor of Delta as closures (integral, cofactor).
 
-    gamma = +1: (2/rho) sin(rho/2) * (2 rho sin(rho/2) - int_0^{1/2} w(1/2-x) cos(rho x) dx)
-    gamma = -1: 2 cos(rho/2) * (2 cos(rho/2) + int_0^{1/2} w(1/2-x) sin(rho x)/rho dx)
-
-    Requires the symmetry w(x) = +-w(1-x), which build_w guarantees exactly on
-    the grid for gamma = +-1.
+    Delta = lead(rho) * cofactor(rho, integral(rho)), where
+    gamma = +1: lead = (2/rho) sin(rho/2), cofactor = 2 rho sin(rho/2) + integral,
+                integral = -int_0^{1/2} w(1/2-x) cos(rho x) dx;
+    gamma = -1: lead = 2 cos(rho/2), cofactor = 2 cos(rho/2) + integral,
+                integral = int_0^{1/2} w(1/2-x) sin(rho x)/rho dx.
+    The lead's zeros are the degenerate half of the spectrum.  Requires the
+    symmetry w(x) = +-w(1-x), which build_w guarantees exactly on the grid.
     """
-    if gamma not in (1, -1):
-        raise ConfigError("factored characteristic form needs gamma = 1 or gamma = -1")
-    rho = np.sqrt(complex(lam))
     xs, wts, v = _half_profile(w)
     if gamma == 1:
-        lead = 2.0 * phi(rho, 0.5)  # (2/rho) sin(rho/2), stable at rho = 0
-        inner = 2.0 * rho * np.sin(rho / 2.0) - np.dot(wts, v * np.cos(rho * xs))
+
+        def integral(rho: complex) -> complex:
+            return -np.dot(wts, v * np.cos(rho * xs))
+
+        def cofactor(rho: complex, part: complex) -> complex:
+            return complex(2.0 * rho * np.sin(rho / 2.0) + part)
+
     else:
-        lead = 2.0 * np.cos(rho / 2.0)
-        inner = 2.0 * np.cos(rho / 2.0) + np.dot(wts, v * phi(rho, xs))
-    return complex(lead * inner)
+
+        def integral(rho: complex) -> complex:
+            return np.dot(wts, v * phi(rho, xs))
+
+        def cofactor(rho: complex, part: complex) -> complex:
+            return complex(2.0 * np.cos(rho / 2.0) + part)
+
+    return integral, cofactor
 
 
 def _newton_rho(g, rho0: complex, tol: float, damping: float = 1.0):
@@ -463,25 +472,8 @@ def _spectrum_generic(w: Potential, config: FrozenConfig, alpha: AlphaParam, m: 
 
 def _spectrum_degenerate(w: Potential, config: FrozenConfig, alpha: AlphaParam, m: int):
     gamma = config.gamma
-    xs, wts, v = _half_profile(w)
-
-    # the cofactor is a closed-form head plus the integral of w(1/2 - x) against
-    # cos(rho x) (gamma = 1) or sin(rho x)/rho (gamma = -1)
-    if gamma == 1:
-
-        def integral(rho: complex) -> complex:
-            return -np.dot(wts, v * np.cos(rho * xs))
-
-        def cofactor(rho: complex, part: complex) -> complex:
-            return complex(2.0 * rho * np.sin(rho / 2.0) + part)
-
-    else:
-
-        def integral(rho: complex) -> complex:
-            return np.dot(wts, v * phi(rho, xs))
-
-        def cofactor(rho: complex, part: complex) -> complex:
-            return complex(2.0 * np.cos(rho / 2.0) + part)
+    _, wts, v = _half_profile(w)
+    integral, cofactor = _cofactor(w, gamma)
 
     def inner_lam(lam: complex) -> complex:
         rho = np.sqrt(complex(lam))

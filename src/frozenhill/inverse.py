@@ -526,11 +526,48 @@ def algorithm4(
 
     The operator P pins the potential left of the frozen point through
     q(a - x) = P(q(a + x)); the rest follows from w0 on (0, 2a) and from the
-    p-independent mean (w0 + w1)/2 on (2a, 1).  Callers with a > 1/2 should
-    mirror the problem first.
+    p-independent mean (w0 + w1)/2 on (2a, 1).  reconstruct mirrors a > 1/2.
     """
     w0, w1 = _interior_kernels(two, p_op, k_terms, n_trunc, grid_n)
     return _solve_interior(w0, w1, two.a, p_op, grid_n)
+
+
+def reconstruct(
+    data: Spectrum | TwoSpectra,
+    k_terms: int,
+    n_trunc: int,
+    grid_n: int = 1024,
+    op: OperatorSpec | None = None,
+) -> Potential:
+    """Reconstruct the potential from one spectrum or from a TwoSpectra pair.
+
+    A spectrum goes to algorithm1, or to algorithm2 with the operator K when
+    gamma = +-1.  A pair goes to algorithm3 at a frozen endpoint, else to
+    algorithm4 with the operator P; for a > 1/2 the mirrored pair (1 - a) is
+    solved and its samples reversed.  op is ignored where no operator is needed.
+    """
+    if isinstance(data, Spectrum):
+        config = data.config
+        if config.gamma not in (1, -1):
+            return algorithm1(data, config, k_terms, n_trunc, grid_n)
+        if op is None:
+            raise ConfigError(
+                "gamma = +-1 is the degenerate case: supply --op with the operator "
+                "coupling the two halves of the shifted potential"
+            )
+        return algorithm2(data, config, op, k_terms, n_trunc, grid_n)
+    if data.a in (0.0, 1.0):
+        return algorithm3(data, k_terms, n_trunc, grid_n)
+    if op is None:
+        raise ConfigError(
+            "interior frozen point needs --op: the spectra pair determines the "
+            "potential only up to its profile on one side of a"
+        )
+    if data.a <= 0.5:
+        return algorithm4(data, op, k_terms, n_trunc, grid_n)
+    mirrored = TwoSpectra(spec0=data.spec0, spec1=data.spec1, a=1.0 - data.a)
+    q = algorithm4(mirrored, op, k_terms, n_trunc, grid_n)
+    return Potential(q.samples[::-1].copy())
 
 
 def isospectral_family(

@@ -20,7 +20,6 @@ from frozenhill import (
     compute_spectrum,
     delta0,
     eval_delta_det,
-    eval_delta_factored,
     eval_delta_fundrep,
     fundamental_solutions,
     phi,
@@ -33,6 +32,7 @@ from frozenhill.core import simpson_weights
 from frozenhill import forward
 from frozenhill.forward import (
     PAIR_GAP,
+    _cofactor,
     _half_profile,
     _newton_lambda,
     _quadratic_pair_refine,
@@ -210,9 +210,13 @@ class TestDeltaRoutes:
         for gamma in (1.0, -1.0):
             cfg = FrozenConfig(a=0.0, gamma=gamma)
             w = build_w(q, cfg)
+            integral, cofactor = _cofactor(w, gamma)
             for lam in (0.3, 17.0 + 4j, -60.0, 200.0):
+                rho = np.sqrt(complex(lam))
+                # lead(rho): (2/rho) sin(rho/2), stable at rho = 0, or 2 cos(rho/2)
+                lead = 2.0 * phi(rho, 0.5) if gamma == 1 else 2.0 * np.cos(rho / 2.0)
                 d1 = eval_delta_fundrep(lam, w, gamma)
-                d2 = eval_delta_factored(lam, w, gamma)
+                d2 = lead * cofactor(rho, integral(rho))
                 assert abs(d1 - d2) <= 1e-8 * (1 + abs(d1))
 
     def test_fundrep_constant_potential_at_pi_squared(self):

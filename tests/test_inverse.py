@@ -41,6 +41,7 @@ from frozenhill import (
     eval_delta_fundrep,
     isobispectral_family,
     isospectral_family,
+    reconstruct,
     recover_w,
     reference_lambda,
     rel_l2_error,
@@ -631,6 +632,63 @@ class TestAlgorithm4:
         p_op = OperatorSpec.constant(np.zeros(257, complex), 0.25)
         with pytest.raises(GrowthConditionError):
             algorithm4(broken, p_op, 60, 120, grid_n=1024)
+
+
+class TestReconstruct:
+    """reconstruct dispatches to the algorithm each case needs, with identical results."""
+
+    SCALAR_K = OperatorSpec.scalar(0.5, 0.5)
+
+    def test_generic_coupling_is_algorithm1(self):
+        rng = np.random.default_rng(43)
+        cfg = FrozenConfig(a=0.25, gamma=2.0)
+        q = potential_from_w_coeffs(flat_sine_coeffs(rng, degree=8), cfg, 512)
+        spec = compute_spectrum(q, cfg, 40)
+        expected = algorithm1(spec, cfg, 40, 40, 512).samples
+        assert np.array_equal(reconstruct(spec, 40, 40, 512).samples, expected)
+        # an operator is ignored where the coupling needs none
+        assert np.array_equal(reconstruct(spec, 40, 40, 512, op=self.SCALAR_K).samples, expected)
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    def test_unit_coupling_is_algorithm2(self, gamma):
+        rng = np.random.default_rng(44)
+        q, _ = half_ratio_potential(rng, 0.5, 512)
+        cfg = FrozenConfig(a=0.0, gamma=gamma)
+        spec = compute_spectrum(q, cfg, 60)
+        expected = algorithm2(spec, cfg, self.SCALAR_K, 40, 60, 512).samples
+        assert np.array_equal(reconstruct(spec, 40, 60, 512, op=self.SCALAR_K).samples, expected)
+        with pytest.raises(ConfigError, match="supply --op"):
+            reconstruct(spec, 40, 60, 512)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_endpoint_pair_is_algorithm3(self, a):
+        rng = np.random.default_rng(45)
+        two = forward_pair(sine_poly_potential(rng, 512, degree=4), a, 60)
+        expected = algorithm3(two, 40, 60, 512).samples
+        assert np.array_equal(reconstruct(two, 40, 60, 512).samples, expected)
+        p_op = OperatorSpec.constant(np.zeros(129, complex), 0.25)
+        assert np.array_equal(reconstruct(two, 40, 60, 512, op=p_op).samples, expected)
+
+    def test_interior_pair_is_algorithm4(self):
+        rng = np.random.default_rng(46)
+        q = window_flat_potential(rng, 0.25, 512)
+        two = forward_pair(q, 0.25, 60)
+        p_op = OperatorSpec.constant(q.samples[128::-1], 0.25)
+        expected = algorithm4(two, p_op, 40, 60, 512).samples
+        assert np.array_equal(reconstruct(two, 40, 60, 512, op=p_op).samples, expected)
+        with pytest.raises(ConfigError, match="needs --op"):
+            reconstruct(two, 40, 60, 512)
+
+    def test_large_a_mirrors_algorithm4(self):
+        rng = np.random.default_rng(47)
+        q = window_flat_potential(rng, 0.25, 512)
+        two = forward_pair(q, 0.25, 60)
+        p_op = OperatorSpec.constant(q.samples[128::-1], 0.25)
+        mirrored = TwoSpectra(spec0=two.spec0, spec1=two.spec1, a=0.75)
+        expected = algorithm4(two, p_op, 40, 60, 512).samples[::-1]
+        assert np.array_equal(reconstruct(mirrored, 40, 60, 512, op=p_op).samples, expected)
+        with pytest.raises(ConfigError, match="needs --op"):
+            reconstruct(mirrored, 40, 60, 512)
 
 
 class TestFamilies:

@@ -12,15 +12,21 @@ from hypothesis import strategies as st
 from conftest import half_ratio_potential, potential_from_w_coeffs, flat_sine_coeffs
 from frozenhill import (
     ConfigError,
+    DegenerateCaseError,
     FileFormatError,
     FrozenConfig,
+    FrozenHillError,
+    OperatorError,
     OperatorSpec,
+    PoleInTailError,
     Potential,
+    RootIsolationError,
     Spectrum,
     compute_alpha,
     compute_spectrum,
     reference_lambda,
 )
+from frozenhill import cli
 from frozenhill.cli import main
 from frozenhill.io import (
     read_operator,
@@ -635,3 +641,97 @@ class TestCli:
         m0, _ = read_potential(f"{prefix}.0.pot")
         m1, _ = read_potential(f"{prefix}.1.pot")
         assert np.max(np.abs(m0.samples - m1.samples)) > 0.01
+
+
+_SIZE_OPTIONS = {
+    "inverse1": ("kterms", "ntrunc", "grid"),
+    "inverse2": ("kterms", "ntrunc", "grid"),
+    "roundtrip": ("kterms", "ntrunc"),
+    "isospectral": ("kterms", "ntrunc", "grid"),
+    "isobispectral": ("kterms", "ntrunc", "grid"),
+    "growthcheck": ("ntrunc", "grid"),
+}
+
+# a = 0.25 does not align with n = 66; roundtrip takes its grid from the
+# potential file (n = 64), which a = 0.3 does not align with
+_BAD_SIZES = [
+    (command, bad)
+    for command, names in _SIZE_OPTIONS.items()
+    for bad in ("kterms=0", "ntrunc=0", "grid=0", "grid=66")
+    if bad.split("=")[0] in names
+] + [("roundtrip", "a=0.3")]
+
+
+class TestExitCodes:
+    """Library exceptions map onto exit codes; bad sizes are rejected by the library."""
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (FileFormatError("bad file"), 2),
+            (FileNotFoundError("no such file"), 2),
+            (ConfigError("bad config"), 3),
+            (DegenerateCaseError("degenerate"), 3),
+            (OperatorError("singular"), 3),
+            (RootIsolationError(3), 4),
+            (PoleInTailError(5), 4),
+            (FrozenHillError("numerical"), 4),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+    )
+    def test_library_error_maps_to_exit_code(self, runner, tmp_path, monkeypatch, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "compute_spectrum", fail)
+        pot = _write_sample_potential(tmp_path)
+        result = runner.invoke(main, ["forward", "--in", str(pot)])
+        assert result.exit_code == code
+        assert f"error: {exc}" in result.output
+
+    @staticmethod
+    def _inputs(tmp_path, grid):
+        """Files for each command at a = 0.25; operators sized for the given grid."""
+        pot = tmp_path / "q.pot"
+        write_potential(pot, Potential.zeros(64), FrozenConfig(a=0.25, gamma=2.0))
+        specs = {}
+        for name, gamma in (("s0", 1.0), ("s1", -1.0)):
+            specs[name] = tmp_path / f"{name}.spec"
+            write_spectrum(specs[name], compute_spectrum(
+                Potential.zeros(64), FrozenConfig(a=0.25, gamma=gamma), 10))
+        k_op, p_op, h_op = tmp_path / "k.op", tmp_path / "p.op", tmp_path / "h.op"
+        write_operator(k_op, OperatorSpec.scalar(0.5, 0.5))
+        write_operator(p_op, OperatorSpec.constant(np.zeros(grid // 4 + 1), 0.25))
+        write_operator(h_op, OperatorSpec.constant(np.zeros(grid // 2 + 1), 0.5))
+        pair = ["--in", str(specs["s0"]), "--in2", str(specs["s1"])]
+        return {
+            "inverse1": ["--in", str(specs["s0"]), "--op", str(k_op)],
+            "inverse2": [*pair, "--op", str(p_op)],
+            "roundtrip": ["--in", str(pot), "--m", "10"],
+            "isospectral": ["--in", str(specs["s0"]), "--op", str(h_op)],
+            "isobispectral": [*pair, "--a", "0.25", "--op", str(p_op)],
+            "growthcheck": [*pair, "--a", "0.25"],
+        }
+
+    @pytest.mark.parametrize("command, bad", _BAD_SIZES)
+    def test_bad_size_exit_3(self, runner, tmp_path, command, bad):
+        name, value = bad.split("=")
+        grid = int(value) if name == "grid" else 64
+        sizes = {key: "64" if key == "grid" else "10" for key in _SIZE_OPTIONS[command]}
+        sizes[name] = value
+        opts = [tok for key, val in sizes.items() for tok in (f"--{key}", val)]
+        result = runner.invoke(main, [command, *self._inputs(tmp_path, grid)[command], *opts])
+        assert result.exit_code == 3, result.output
+
+    def test_unused_unreadable_operator_exit_2(self, runner, tmp_path):
+        # --op is read whenever it is given, even where gamma != +-1 needs none
+        rng = np.random.default_rng(61)
+        cfg = FrozenConfig(a=0.0, gamma=2.0)
+        q = potential_from_w_coeffs(flat_sine_coeffs(rng, degree=8), cfg, 256)
+        spath = tmp_path / "s.spec"
+        write_spectrum(spath, compute_spectrum(q, cfg, 20))
+        args = ["inverse1", "--in", str(spath), "--grid", "256", "--kterms", "20",
+                "--ntrunc", "20"]
+        assert runner.invoke(main, args).exit_code == 0
+        result = runner.invoke(main, [*args, "--op", str(tmp_path / "missing.op")])
+        assert result.exit_code == 2
