@@ -15,14 +15,9 @@ from .core import (
     Potential,
     Spectrum,
     compute_alpha,
-    delta0,
     phi,
-    reference_lambda,
     reference_rho,
-    reflect_problem,
     rel_l2_error,
-    shift_to_zero,
-    simpson,
     unshift,
 )
 from .errors import (
@@ -37,13 +32,11 @@ from .errors import (
     RootIsolationError,
 )
 from .forward import (
-    FundamentalSolutions,
     SineSeries,
     build_w,
     compute_spectrum,
     eval_delta_det,
     eval_delta_fundrep,
-    fundamental_solutions,
     verify_asymptotics,
 )
 from .inverse import (
@@ -62,7 +55,7 @@ from .inverse import (
     reconstruct,
     recover_w,
 )
-from .basis import GramTruncation, RieszReport, frame_bounds, gram_matrix, riesz_report
+from .basis import RieszReport, frame_bounds, gram_matrix, riesz_report
 
 __version__ = "0.1.0"
 
@@ -74,8 +67,6 @@ __all__ = [
     "FileFormatError",
     "FrozenConfig",
     "FrozenHillError",
-    "FundamentalSolutions",
-    "GramTruncation",
     "GrowthConditionError",
     "GrowthReport",
     "InconsistentSpectrumError",
@@ -97,25 +88,19 @@ __all__ = [
     "check_growth",
     "compute_alpha",
     "compute_spectrum",
-    "delta0",
     "delta_from_spectrum",
     "eval_delta_det",
     "eval_delta_fundrep",
     "frame_bounds",
-    "fundamental_solutions",
     "gram_matrix",
     "isobispectral_family",
     "isospectral_family",
     "phi",
     "reconstruct",
     "recover_w",
-    "reference_lambda",
     "reference_rho",
-    "reflect_problem",
     "rel_l2_error",
     "riesz_report",
-    "shift_to_zero",
-    "simpson",
     "unshift",
     "verify_asymptotics",
 ]

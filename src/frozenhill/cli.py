@@ -17,6 +17,7 @@ from .forward import compute_spectrum, verify_asymptotics
 from .inverse import (
     TwoSpectra,
     check_growth,
+    check_reconstruct,
     isobispectral_family,
     isospectral_family,
     reconstruct,
@@ -197,6 +198,8 @@ def roundtrip(in_path, a, gamma, m_eigs, kterms, ntrunc, tol, op_path, out_path)
         q, file_cfg = fio.read_potential(in_path)
         cfg = _resolve_config(file_cfg, a, gamma)
         op = _read_operator(op_path)
+        if m_eigs >= 1:  # else compute_spectrum names the bad --m
+            check_reconstruct(m_eigs, kterms, ntrunc, cfg.gamma, op)
         spec = compute_spectrum(q, cfg, m_eigs)
         q_rec = reconstruct(spec, kterms, ntrunc, q.n, op)
         err = rel_l2_error(q_rec, q)

@@ -6,6 +6,11 @@ fundamental solutions, and the integral representation
 Delta = 1 + gamma^2 - 2 gamma cos(rho) - int_0^1 w(x) sin(rho x)/rho dx
 driven by the kernel w produced from q by the main functional equation.
 Their agreement is the central consistency check of the whole package.
+
+On grid samples of w the integral form has one implementation, _SampledDelta,
+shared by eval_delta_fundrep and compute_spectrum (as the cofactor of Delta at
+gamma = +-1).  compute_spectrum runs one window loop for every gamma: an FFT
+check at every reference point, Newton in lambda near rho = 0, else a root search.
 """
 
 from __future__ import annotations
@@ -231,64 +236,76 @@ def _sine_phi_integral(k: int, rho: complex) -> complex:
 def eval_delta_fundrep(lam: complex, w, gamma: complex) -> complex:
     """Characteristic function via Delta0 minus the sine transform of w.
 
-    Accepts w either as grid samples (composite Simpson) or as a finite sine
-    series (exact termwise integrals).
+    Accepts w either as grid samples (composite Simpson, the solver's own Delta)
+    or as a finite sine series (exact termwise integrals).
     """
-    rho = np.sqrt(complex(lam))
-    base = complex(1.0 + gamma * gamma - 2.0 * gamma * np.cos(rho))
-    if isinstance(w, SineSeries):
-        total = 0.0 + 0.0j
-        for k in range(1, w.k_max + 1):
-            bk = w.coeffs[k - 1]
-            if bk != 0:
-                total += bk * _sine_phi_integral(k, rho)
-        return base - total
     if isinstance(w, Potential):
-        n = w.n
-        xs = w.grid()
-        wts = simpson_weights(n) / n
-        return base - complex(np.dot(wts, w.samples * phi(rho, xs)))
-    raise ConfigError("w must be a Potential or a SineSeries")
+        return _SampledDelta(w, gamma)(lam)
+    if not isinstance(w, SineSeries):
+        raise ConfigError("w must be a Potential or a SineSeries")
+    rho = np.sqrt(complex(lam))
+    total = 0.0 + 0.0j
+    for k in range(1, w.k_max + 1):
+        bk = w.coeffs[k - 1]
+        if bk != 0:
+            total += bk * _sine_phi_integral(k, rho)
+    return delta0(lam, gamma) - total
 
 
-def _half_profile(w: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Samples of w(1/2 - x) on the half grid along with quadrature weights."""
-    n = w.n
-    half = n // 2
-    xs = np.linspace(0.0, 0.5, half + 1)
-    wts = simpson_weights(half) / n
-    return xs, wts, w.samples[half::-1]
+class _SampledDelta:
+    """Delta, or at gamma = +-1 its cofactor, on Simpson-weighted samples of w.
 
-
-def _cofactor(w: Potential, gamma: complex):
-    """The gamma = +-1 cofactor of Delta as closures (integral, cofactor).
-
-    Delta = lead(rho) * cofactor(rho, integral(rho)), where
-    gamma = +1: lead = (2/rho) sin(rho/2), cofactor = 2 rho sin(rho/2) + integral,
-                integral = -int_0^{1/2} w(1/2-x) cos(rho x) dx;
-    gamma = -1: lead = 2 cos(rho/2), cofactor = 2 cos(rho/2) + integral,
-                integral = int_0^{1/2} w(1/2-x) sin(rho x)/rho dx.
-    The lead's zeros are the degenerate half of the spectrum.  Requires the
-    symmetry w(x) = +-w(1-x), which build_w guarantees exactly on the grid.
+    Built once per (w, gamma).  The value at lambda = rho^2 is a closed-form
+    head and an integral I(rho):
+      Delta:       Delta0(lambda) - I,  I = int_0^1 w(x) sin(rho x)/rho dx;
+      gamma = +1:  2 rho sin(rho/2) + I,  I = -int_0^{1/2} w(1/2-x) cos(rho x) dx;
+      gamma = -1:  2 cos(rho/2) + I,  I = int_0^{1/2} w(1/2-x) sin(rho x)/rho dx.
+    The cofactors (factored=True) solve Delta = lead(rho) * cofactor, where the
+    zeros of lead = (2/rho) sin(rho/2) or 2 cos(rho/2) are the degenerate half
+    of the spectrum.  They need w(x) = +-w(1-x), which build_w makes exact.
     """
-    xs, wts, v = _half_profile(w)
-    if gamma == 1:
 
-        def integral(rho: complex) -> complex:
-            return -np.dot(wts, v * np.cos(rho * xs))
+    def __init__(self, w: Potential, gamma: complex, factored: bool = False):
+        self.gamma, self.factored, self.n = gamma, factored, w.n
+        self.cosine = factored and gamma == 1
+        span = w.n // 2 if factored else w.n
+        self.xs = np.linspace(0.0, span / w.n, span + 1)
+        self.wts = simpson_weights(span) / w.n
+        self.samples = w.samples[span::-1] if factored else w.samples
 
-        def cofactor(rho: complex, part: complex) -> complex:
-            return complex(2.0 * rho * np.sin(rho / 2.0) + part)
+    def __call__(self, lam: complex) -> complex:
+        rho = np.sqrt(complex(lam))
+        if self.cosine:
+            part = -np.dot(self.wts, self.samples * np.cos(rho * self.xs))
+        else:
+            part = np.dot(self.wts, self.samples * phi(rho, self.xs))
+        return self._value(lam, rho, part)
 
-    else:
+    def _value(self, lam: complex, rho: complex, part: complex) -> complex:
+        if not self.factored:
+            return complex(delta0(lam, self.gamma) - part)
+        head = 2.0 * rho * np.sin(rho / 2.0) if self.cosine else 2.0 * np.cos(rho / 2.0)
+        return complex(head + part)
 
-        def integral(rho: complex) -> complex:
-            return np.dot(wts, v * phi(rho, xs))
+    def tol(self, rho0: complex) -> float:
+        """Newton's bound on |value| in the window of rho0."""
+        if self.factored:
+            return 1e-11 * (1.0 + 2.0 * abs(rho0))
+        return 1e-11 * (1.0 + (1.0 + abs(self.gamma)) ** 2)
 
-        def cofactor(rho: complex, part: complex) -> complex:
-            return complex(2.0 * np.cos(rho / 2.0) + part)
+    def passes_at(self, rho0: complex, plus, minus, slack: float, tol: float) -> bool:
+        """Whether Newton's first check accepts rho0, judged from _reference_sums.
 
-    return integral, cofactor
+        The value is taken at sqrt(rho0^2), where that check evaluates, and
+        passes only with the sums' rounding bound to spare.
+        """
+        lam = rho0 * rho0
+        if self.cosine:
+            part, bound = -(plus + minus) / 2.0, slack
+        else:
+            part, bound = (plus - minus) / (2j * rho0), slack / abs(rho0)
+        value = self._value(lam, np.sqrt(complex(lam)), part)
+        return abs(value) + bound + _ROUNDING_SLACK * tol < tol
 
 
 def _newton_rho(g, rho0: complex, tol: float, damping: float = 1.0):
@@ -417,47 +434,52 @@ def _reference_sums(c: np.ndarray, n: int, alpha: AlphaParam, m: int):
     return plus, minus, slack
 
 
-def _spectrum_generic(w: Potential, config: FrozenConfig, alpha: AlphaParam, m: int):
+def compute_spectrum(q: Potential, config: FrozenConfig, m: int) -> Spectrum:
+    """First m eigenvalues of the frozen-argument problem, indexed by window.
+
+    Index n is a root of Delta(rho^2) found from its reference zero.  At
+    gamma = +-1 the odd (information-free) indices are emitted exactly at their
+    reference positions, and the even ones are roots of the cofactor.
+    """
+    if m < 1:
+        raise ConfigError("eigenvalue count m must be positive")
     gamma = config.gamma
-    n = w.n
-    xs = w.grid()
-    wts = simpson_weights(n) / n
-    ws = w.samples
-
-    # Delta is a closed-form head minus the integral of w against sin(rho x)/rho
-    def delta(rho: complex, part: complex) -> complex:
-        return complex(1.0 + gamma * gamma - 2.0 * gamma * np.cos(rho) - part)
-
-    def dfun(lam: complex) -> complex:
-        rho = np.sqrt(complex(lam))
-        return delta(rho, np.dot(wts, ws * phi(rho, xs)))
+    alpha = compute_alpha(gamma)
+    factored = gamma in (1, -1)
+    delta = _SampledDelta(build_w(q, config), gamma, factored)
 
     def g(rho: complex) -> complex:
-        return dfun(rho * rho)
+        return delta(rho * rho)
 
-    tol = 1e-11 * (1.0 + (1.0 + abs(gamma)) ** 2)
-    # Delta at every reference point from the FFT sums: a window accepted there
-    # is one that the first check of _newton_rho accepts at rho0
-    plus, minus, slack = _reference_sums(wts * ws, n, alpha, m)
-    rhos = np.empty(m, dtype=complex)
+    plus, minus, slack = _reference_sums(delta.wts * delta.samples, delta.n, alpha, m)
+    # lambda at gamma = +-1; rho otherwise, squared once at the end
+    out = np.empty(m, dtype=complex)
     refs = np.empty(m, dtype=complex)
     for idx in range(m):
         rho0 = reference_rho(idx, alpha)
         refs[idx] = rho0
+        if factored and idx % 2 == 1:
+            out[idx] = rho0 * rho0  # degenerate half of the spectrum, emitted exactly
+            continue
+        tol = delta.tol(rho0)
         if abs(rho0) < 0.5:
             # g is even in rho, so Newton in rho stalls near the origin
-            lam, ok = _newton_lambda(dfun, rho0 * rho0, tol)
+            lam, ok = _newton_lambda(delta, rho0 * rho0, tol)
             if not ok:
                 raise RootIsolationError(idx)
-            root = np.sqrt(complex(lam))
-            rhos[idx] = root if abs(root - rho0) <= abs(root + rho0) else -root
+            if factored:
+                out[idx] = lam
+            else:
+                root = np.sqrt(complex(lam))
+                out[idx] = root if abs(root - rho0) <= abs(root + rho0) else -root
             continue
-        rho = np.sqrt(complex(rho0 * rho0))  # the point g(rho0) evaluates at
-        part = (plus[idx] - minus[idx]) / (2j * rho0)
-        if abs(delta(rho, part)) + slack[idx] / abs(rho0) + _ROUNDING_SLACK * tol < tol:
-            rhos[idx] = rho0
+        if delta.passes_at(rho0, plus[idx], minus[idx], slack[idx], tol):
+            rho = rho0
         else:
-            rhos[idx] = _solve_window(g, rho0, tol, idx)
+            rho = _solve_window(g, rho0, tol, idx)
+        out[idx] = rho * rho if factored else rho
+    if factored:
+        return Spectrum(values=out, config=config, alpha=alpha)
     # re-refine nearly coincident converged pairs (near-degenerate gamma).  Only
     # neighbours can qualify: Re alpha lies in [0, 1], so Re rho0 of index k lies
     # in [k pi, (k + 1) pi], and indices of one parity lie exactly 2 pi apart;
@@ -465,71 +487,9 @@ def _spectrum_generic(w: Potential, config: FrozenConfig, alpha: AlphaParam, m: 
     # 2 pi > 1.  Scanning i -> i + 1 upwards meets the qualifying pairs in the
     # same order, and with the same values, as a scan over all pairs.
     for i in range(m - 1):
-        if abs(rhos[i] - rhos[i + 1]) < PAIR_GAP and abs(refs[i] - refs[i + 1]) < 1.0:
-            rhos[i], rhos[i + 1] = _quadratic_pair_refine(g, refs[i], refs[i + 1], tol)
-    return rhos * rhos
-
-
-def _spectrum_degenerate(w: Potential, config: FrozenConfig, alpha: AlphaParam, m: int):
-    gamma = config.gamma
-    _, wts, v = _half_profile(w)
-    integral, cofactor = _cofactor(w, gamma)
-
-    def inner_lam(lam: complex) -> complex:
-        rho = np.sqrt(complex(lam))
-        return cofactor(rho, integral(rho))
-
-    def g(rho: complex) -> complex:
-        return inner_lam(rho * rho)
-
-    # the integral at every reference point from the FFT sums: a window accepted
-    # there is one that the first check of _newton_rho accepts at rho0
-    plus, minus, slack = _reference_sums(wts * v, w.n, alpha, m)
-    lams = np.empty(m, dtype=complex)
-    for idx in range(m):
-        rho0 = reference_rho(idx, alpha)
-        if idx % 2 == 1:
-            lams[idx] = rho0 * rho0  # degenerate half of the spectrum, emitted exactly
-            continue
-        tol = 1e-11 * (1.0 + 2.0 * abs(rho0))
-        if abs(rho0) < 0.5:
-            lam, ok = _newton_lambda(inner_lam, rho0 * rho0, tol)
-            if not ok:
-                raise RootIsolationError(idx)
-            lams[idx] = lam
-            continue
-        rho = np.sqrt(complex(rho0 * rho0))  # the point g(rho0) evaluates at
-        if gamma == 1:
-            part, bound = -(plus[idx] + minus[idx]) / 2.0, slack[idx]
-        else:
-            part, bound = (plus[idx] - minus[idx]) / (2j * rho0), slack[idx] / abs(rho0)
-        if abs(cofactor(rho, part)) + bound + _ROUNDING_SLACK * tol < tol:
-            lams[idx] = rho0 * rho0
-        else:
-            rho = _solve_window(g, rho0, tol, idx)
-            lams[idx] = rho * rho
-    return lams
-
-
-def compute_spectrum(q: Potential, config: FrozenConfig, m: int) -> Spectrum:
-    """First m eigenvalues of the frozen-argument problem, indexed by window.
-
-    Each index n is solved by Newton on Delta(rho^2) started from its
-    reference zero; for gamma = +-1 the characteristic function is factored,
-    the odd-indexed (information-free) eigenvalues are emitted exactly at
-    their reference positions and only the cofactor is solved numerically.
-    For every gamma, two FFTs check Delta (or the cofactor) at every reference
-    point first, and a window that passes there is not iterated.
-    """
-    if m < 1:
-        raise ConfigError("eigenvalue count m must be positive")
-    alpha = compute_alpha(config.gamma)
-    w = build_w(q, config)
-    if config.gamma in (1, -1):
-        values = _spectrum_degenerate(w, config, alpha, m)
-    else:
-        values = _spectrum_generic(w, config, alpha, m)
-    return Spectrum(values=values, config=config, alpha=alpha)
+        if abs(out[i] - out[i + 1]) < PAIR_GAP and abs(refs[i] - refs[i + 1]) < 1.0:
+            out[i], out[i + 1] = _quadratic_pair_refine(g, refs[i], refs[i + 1], delta.tol(0))
+    return Spectrum(values=out * out, config=config, alpha=alpha)
 
 
 def verify_asymptotics(spec: Spectrum) -> AsymptoticResidues:

@@ -190,8 +190,7 @@ def delta_from_spectrum(
 
 def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
     """delta_from_spectrum's values and Delta0 at the same points, same shape."""
-    if n_trunc < 1 or n_trunc > len(spec):
-        raise ConfigError("n_trunc must be between 1 and the spectrum length")
+    check_reconstruct(len(spec), None, n_trunc)
     pts = np.asarray(lam, dtype=complex)
     if pts.ndim > 1:
         raise ConfigError("evaluation points must be a scalar or a 1-D array")
@@ -287,6 +286,23 @@ def _collisions(refs, pts, mag, tol):
     return rows[hit], cols[hit]
 
 
+def check_reconstruct(length: int, k_terms: int | None, n_trunc: int, gamma=None, op=None):
+    """Raise the ConfigError that reconstruct raises on a spectrum of this length and gamma.
+
+    recover_w checks k_terms and the zero product n_trunc here; a caller that
+    still has to solve the spectrum can reject a bad request first.
+    """
+    if gamma in (1, -1) and op is None:
+        raise ConfigError(
+            "gamma = +-1 is the degenerate case: supply --op with the operator "
+            "coupling the two halves of the shifted potential"
+        )
+    if k_terms is not None and k_terms < 1:
+        raise ConfigError("k_terms must be positive")
+    if n_trunc < 1 or n_trunc > length:
+        raise ConfigError("n_trunc must be between 1 and the spectrum length")
+
+
 def _sample_points(k_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices k = 1..K and the interleaved sample points lambda = (pi k)^2.
 
@@ -299,8 +315,7 @@ def _sample_points(k_terms: int) -> tuple[np.ndarray, np.ndarray]:
 
 def recover_w(spec: Spectrum, k_terms: int, n_trunc: int) -> SineSeries:
     """Sine coefficients of w read off Delta at the interleaved points (pi k)^2."""
-    if k_terms < 1:
-        raise ConfigError("k_terms must be positive")
+    check_reconstruct(len(spec), k_terms, n_trunc)
     ks, lams = _sample_points(k_terms)
     delta, free = _delta_and_delta0(spec, lams, n_trunc)
     return SineSeries(2.0 * PI * ks * (free - delta))
@@ -472,7 +487,8 @@ def check_growth(two: TwoSpectra, n_trunc: int, grid_n: int = 512) -> GrowthRepo
         two.spec1, lams, n_trunc
     )
     wsum = SineSeries(2.0 * PI * ks * (4.0 - total)).sample_grid(grid_n)
-    return _support_report(wsum, snap_index(max(two.a, 1.0 - two.a), grid_n))
+    j_a = snap_index(two.a, grid_n)
+    return _support_report(wsum, max(j_a, grid_n - j_a))
 
 
 def _interior_kernels(
@@ -548,13 +564,9 @@ def reconstruct(
     """
     if isinstance(data, Spectrum):
         config = data.config
+        check_reconstruct(len(data), k_terms, n_trunc, config.gamma, op)
         if config.gamma not in (1, -1):
             return algorithm1(data, config, k_terms, n_trunc, grid_n)
-        if op is None:
-            raise ConfigError(
-                "gamma = +-1 is the degenerate case: supply --op with the operator "
-                "coupling the two halves of the shifted potential"
-            )
         return algorithm2(data, config, op, k_terms, n_trunc, grid_n)
     if data.a in (0.0, 1.0):
         return algorithm3(data, k_terms, n_trunc, grid_n)

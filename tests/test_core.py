@@ -8,15 +8,20 @@ from frozenhill import (
     FrozenConfig,
     Potential,
     compute_alpha,
-    delta0,
     phi,
-    reference_lambda,
     reference_rho,
-    reflect_problem,
-    shift_to_zero,
     unshift,
 )
-from frozenhill.core import SERIES_CUTOFF, reference_lambda_array, simpson, simpson_weights
+from frozenhill.core import (
+    SERIES_CUTOFF,
+    delta0,
+    reference_lambda,
+    reference_lambda_array,
+    reflect_problem,
+    shift_to_zero,
+    simpson,
+    simpson_weights,
+)
 
 PI = np.pi
 

@@ -18,26 +18,22 @@ from frozenhill import (
     build_w,
     compute_alpha,
     compute_spectrum,
-    delta0,
     eval_delta_det,
     eval_delta_fundrep,
-    fundamental_solutions,
     phi,
-    reference_lambda,
     reference_rho,
-    shift_to_zero,
     verify_asymptotics,
 )
-from frozenhill.core import simpson_weights
+from frozenhill.core import delta0, reference_lambda, shift_to_zero, simpson_weights
 from frozenhill import forward
 from frozenhill.forward import (
     PAIR_GAP,
-    _cofactor,
-    _half_profile,
+    _SampledDelta,
     _newton_lambda,
     _quadratic_pair_refine,
     _reference_sums,
     _solve_window,
+    fundamental_solutions,
 )
 
 PI = np.pi
@@ -210,13 +206,13 @@ class TestDeltaRoutes:
         for gamma in (1.0, -1.0):
             cfg = FrozenConfig(a=0.0, gamma=gamma)
             w = build_w(q, cfg)
-            integral, cofactor = _cofactor(w, gamma)
+            cofactor = _SampledDelta(w, gamma, factored=True)
             for lam in (0.3, 17.0 + 4j, -60.0, 200.0):
                 rho = np.sqrt(complex(lam))
                 # lead(rho): (2/rho) sin(rho/2), stable at rho = 0, or 2 cos(rho/2)
                 lead = 2.0 * phi(rho, 0.5) if gamma == 1 else 2.0 * np.cos(rho / 2.0)
                 d1 = eval_delta_fundrep(lam, w, gamma)
-                d2 = lead * cofactor(rho, integral(rho))
+                d2 = lead * cofactor(lam)
                 assert abs(d1 - d2) <= 1e-8 * (1 + abs(d1))
 
     def test_fundrep_constant_potential_at_pi_squared(self):
@@ -254,7 +250,9 @@ def degenerate_reference(q, cfg, m):
     """gamma = +-1 eigenvalues solved window by window, Newton from every reference point."""
     w = build_w(q, cfg)
     alpha = compute_alpha(cfg.gamma)
-    xs, wts, v = _half_profile(w)
+    half = w.n // 2  # w(1/2 - x) on the half grid x in [0, 1/2]
+    xs, wts = np.linspace(0.0, 0.5, half + 1), simpson_weights(half) / w.n
+    v = w.samples[half::-1]
 
     def inner_lam(lam):
         rho = np.sqrt(complex(lam))
@@ -332,11 +330,9 @@ class TestDegenerateFirstPass:
         rng = np.random.default_rng(20)
         q = trig_poly_potential(rng, 64, degree=5)
         w = build_w(q, FrozenConfig(a=a, gamma=gamma))
-        if gamma in (1, -1):
-            _, wts, v = _half_profile(w)  # the cofactor's half profile
-            c = wts * v
-        else:
-            c = simpson_weights(w.n) / w.n * w.samples
+        # the solver's weighted samples: the cofactor's half profile at gamma = +-1
+        kernel = _SampledDelta(w, gamma, factored=gamma in (1, -1))
+        c = kernel.wts * kernel.samples
         xs = np.arange(len(c)) / w.n
         alpha = compute_alpha(gamma)
         plus, minus, slack = _reference_sums(c, w.n, alpha, m)
@@ -348,28 +344,45 @@ class TestDegenerateFirstPass:
             # the bound's shift term: Newton's first check runs at sqrt(rho0^2)
             assert abs(np.sqrt(complex(rho0 * rho0)) - rho0) <= 8 * 2.0**-53 * abs(rho0)
 
-    @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_spectrum_equals_window_loop(self, seed):
+    @pytest.mark.parametrize(
+        "seed, n, m",
+        [
+            pytest.param(21, 512, 120, id="21"),
+            pytest.param(22, 512, 120, id="22"),
+            pytest.param(23, 512, 120, id="23"),
+            # m/2 >= n: reference indices wrap the FFT length 2n
+            pytest.param(25, 128, 300, id="aliased"),
+        ],
+    )
+    def test_spectrum_equals_window_loop(self, seed, n, m):
         rng = np.random.default_rng(seed)
-        for a in (0.0, 0.25):
-            q = window_flat_potential(rng, a, 512)
+        for a in (0.0, 0.25, 0.75):  # build_w mirrors a = 3/4
+            q = window_flat_potential(rng, a, n)
             for gamma in (1.0, -1.0):
                 cfg = FrozenConfig(a=a, gamma=gamma)
-                spec = compute_spectrum(q, cfg, 120)
-                assert np.array_equal(spec.values, degenerate_reference(q, cfg, 120))
+                spec = compute_spectrum(q, cfg, m)
+                assert np.array_equal(spec.values, degenerate_reference(q, cfg, m))
 
-    @pytest.mark.parametrize("gamma", [2.0, 0.5 + 0.5j, -1.05])
-    def test_generic_spectrum_equals_window_loop(self, gamma, monkeypatch):
+    @pytest.mark.parametrize(
+        "gamma, a, n, m",
+        [
+            pytest.param(2.0, 0.25, 512, 120, id="2.0"),
+            pytest.param(0.5 + 0.5j, 0.25, 512, 120, id="(0.5+0.5j)"),
+            pytest.param(-1.05, 0.25, 512, 120, id="-1.05"),
+            pytest.param(2.0, 0.75, 512, 120, id="2.0-mirrored"),  # build_w mirrors a = 3/4
+            pytest.param(0.5 + 0.5j, 0.25, 256, 600, id="aliased"),  # m/2 >= n: indices wrap
+        ],
+    )
+    def test_generic_spectrum_equals_window_loop(self, gamma, a, n, m, monkeypatch):
         # finite sine-series kernels: many windows already pass at rho0
         rng = np.random.default_rng(24)
-        cfg = FrozenConfig(a=0.25, gamma=gamma)
-        q = potential_from_w_coeffs(flat_sine_coeffs(rng), cfg, 512)
+        cfg = FrozenConfig(a=a, gamma=gamma)
+        q = potential_from_w_coeffs(flat_sine_coeffs(rng), cfg, n)
         newton_runs = []
         solve = forward._solve_window
         monkeypatch.setattr(
             forward, "_solve_window", lambda *args: newton_runs.append(1) or solve(*args)
         )
-        m = 120
         spec = compute_spectrum(q, cfg, m)
         expected, refined, at_reference = generic_reference(q, cfg, m)
         assert np.array_equal(spec.values, expected)

@@ -35,7 +35,6 @@ from frozenhill import (
     check_growth,
     compute_alpha,
     compute_spectrum,
-    delta0,
     delta_from_spectrum,
     eval_delta_det,
     eval_delta_fundrep,
@@ -43,10 +42,9 @@ from frozenhill import (
     isospectral_family,
     reconstruct,
     recover_w,
-    reference_lambda,
     rel_l2_error,
 )
-from frozenhill.core import delta0_d1, delta0_d2, reference_lambda_array
+from frozenhill.core import delta0, delta0_d1, delta0_d2, reference_lambda, reference_lambda_array
 from frozenhill.inverse import _BLOCK, _delta_and_delta0
 
 PI = np.pi
@@ -617,7 +615,7 @@ class TestAlgorithm4:
         p_op = OperatorSpec.constant(q.samples[half::-1], a)
         q4 = algorithm4(two, p_op, 60, 120, grid_n=1024)
         # the equivalent one-spectrum operator couples the halves of q_a
-        from frozenhill import shift_to_zero
+        from frozenhill.core import shift_to_zero
 
         q_a = shift_to_zero(q, cfg)
         k_op = OperatorSpec.constant(q_a.samples[half::-1], 0.5)

@@ -24,10 +24,10 @@ from frozenhill import (
     Spectrum,
     compute_alpha,
     compute_spectrum,
-    reference_lambda,
 )
 from frozenhill import cli
 from frozenhill.cli import main
+from frozenhill.core import reference_lambda
 from frozenhill.io import (
     read_operator,
     read_potential,
@@ -722,6 +722,24 @@ class TestExitCodes:
         opts = [tok for key, val in sizes.items() for tok in (f"--{key}", val)]
         result = runner.invoke(main, [command, *self._inputs(tmp_path, grid)[command], *opts])
         assert result.exit_code == 3, result.output
+
+    @pytest.mark.parametrize(
+        "opts", [["--kterms", "0"], ["--ntrunc", "11"], ["--gamma", "1"], ["--gamma", "-1"]]
+    )
+    def test_roundtrip_rejects_before_solving(self, runner, tmp_path, monkeypatch, opts):
+        def solve(*args):
+            raise AssertionError("the spectrum was solved")
+
+        monkeypatch.setattr(cli, "compute_spectrum", solve)
+        args = ["roundtrip", *self._inputs(tmp_path, 64)["roundtrip"], *opts]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+
+    def test_growthcheck_names_the_given_frozen_point(self, runner, tmp_path):
+        args = ["growthcheck", *self._inputs(tmp_path, 64)["growthcheck"]]
+        result = runner.invoke(main, [*args, "--ntrunc", "10", "--grid", "7"])
+        assert result.exit_code == 3
+        assert "frozen point a=0.25 does not align" in result.output
 
     def test_unused_unreadable_operator_exit_2(self, runner, tmp_path):
         # --op is read whenever it is given, even where gamma != +-1 needs none
