@@ -105,12 +105,6 @@ def _quadrature_rows(alpha: complex, ms: np.ndarray) -> np.ndarray:
     return np.sin(np.multiply.outer((2 * ms + alpha) * PI, xs))
 
 
-def _quadrature_entry(alpha: complex, m: int, n: int) -> complex:
-    fm, fn = _quadrature_rows(alpha, np.array([m, n]))
-    wts = simpson_weights(_QUAD_CHECK_N) / _QUAD_CHECK_N
-    return complex(np.dot(wts, fm * np.conj(fn)))
-
-
 def gram_matrix(alpha: complex, n_half: int, cross_check: bool = True) -> GramTruncation:
     """Assemble the Gram truncation; optionally verify a central block by quadrature."""
     alpha = complex(alpha)

@@ -15,7 +15,10 @@ check at every reference point, Newton in lambda near rho = 0, else a root searc
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,55 +151,92 @@ def build_w(q: Potential, config: FrozenConfig) -> Potential:
     return Potential(w)
 
 
-def _segment_quadrature(q: Potential, j_lo: int, j_hi: int):
-    n = q.n
-    ts = np.linspace(j_lo / n, j_hi / n, j_hi - j_lo + 1)
-    wts = simpson_weights(j_hi - j_lo) / n
-    return ts, wts, q.samples[j_lo : j_hi + 1]
+@lru_cache(maxsize=64)
+def _simpson_grid(span: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes j/n for j = 0..span and their Simpson weights scaled by 1/n, read-only."""
+    xs = np.linspace(0.0, span / n, span + 1)
+    wts = simpson_weights(span) / n
+    xs.setflags(write=False)
+    wts.setflags(write=False)
+    return xs, wts
+
+
+@lru_cache(maxsize=64)
+def _baby_giant_steps(size: int) -> tuple[int, np.ndarray]:
+    """b = ceil(sqrt(size)) and the exponents of the baby steps r = 0..b-1
+    followed by those of the giant steps b m, m < ceil(size/b); read-only."""
+    b = math.isqrt(size - 1) + 1
+    steps = np.concatenate((np.arange(b), b * np.arange(-(-size // b)))).astype(float)
+    steps.setflags(write=False)
+    return b, steps
+
+
+def _exp_sums(c: np.ndarray, rho: complex, anchor: float, n: int) -> tuple[complex, complex]:
+    """fwd, bwd = sum_k c_k e^{+-i rho (anchor - k/n)} from O(sqrt(len(c))) exponentials.
+
+    Baby-step/giant-step (Paterson & Stockmeyer, SIAM J. Comput. 1973): with
+    b = ceil(sqrt(L)) and k = b m + r, e^{-i rho k/n} = G_m B_r, so over c
+    zero-padded to a ceil(L/b) x b matrix C the sum is (G C) B.  The + sign
+    takes the reciprocals of the same b + ceil(L/b) exponentials.
+    """
+    size = len(c)
+    b, steps = _baby_giant_steps(size)
+    padded = np.zeros((len(steps) - b) * b, dtype=complex)
+    padded[:size] = c
+    blocks = padded.reshape(-1, b)
+    minus = np.exp(steps * (-1j * rho / n))
+    plus = np.reciprocal(minus)
+    down = complex(np.dot(np.dot(minus[b:], blocks), minus[:b]))
+    up = complex(np.dot(np.dot(plus[b:], blocks), plus[:b]))
+    e_anchor = cmath.exp(1j * rho * anchor)
+    return e_anchor * down, up / e_anchor
 
 
 def fundamental_solutions(
     x: float, lam: complex, q: Potential, config: FrozenConfig
 ) -> FundamentalSolutions:
-    """Evaluate C, C', S, S' and the Wronski-type W at a grid node x."""
+    """Evaluate C, C', S, S' and the Wronski-type W at a grid node x.
+
+    For |rho| >= 1/2 the three integrals over the segment between a and x come
+    from the two sums of _exp_sums, and the scalar rest runs in cmath.
+    """
     n = q.n
     j_x = snap_index(x, n)
     j_a = config.snap(n)
-    rho = np.sqrt(complex(lam))
+    rho = cmath.sqrt(complex(lam))
     a = config.a
+    lo, hi = min(j_a, j_x), max(j_a, j_x)
+    sign = 1.0 if j_x >= j_a else -1.0
+    arg = rho * (x - a)
+    exp_kernel = abs(rho) >= _EXP_KERNEL_MIN_RHO
     if j_x == j_a:
         i_phi = i_cos = i_w = 0.0 + 0.0j
-    else:
-        lo, hi = min(j_a, j_x), max(j_a, j_x)
-        sign = 1.0 if j_x >= j_a else -1.0
-        ts, wts, qseg = _segment_quadrature(q, lo, hi)
+    elif not exp_kernel:
         # W(x) = 1 + int_a^x q(t) phi(rho, a - t) dt, the unrolled form of
         # 1 - int_0^{a-x} q(a - t) phi(rho, t) dt
-        if abs(rho) < _EXP_KERNEL_MIN_RHO:
-            i_phi = sign * np.dot(wts, qseg * phi(rho, x - ts))
-            i_cos = sign * np.dot(wts, qseg * np.cos(rho * (x - ts)))
-            i_w = sign * np.dot(wts, qseg * phi(rho, a - ts))
-        else:
-            # the same three integrals from fwd/bwd = int q(t) e^{+-i rho (a-t)} dt:
-            # sin/cos rho(x-t) split into e^{+-i rho (x-a)} times e^{+-i rho (a-t)}
-            e_at = np.exp(1j * rho * (a - ts))
-            fwd = np.dot(wts, qseg * e_at)
-            bwd = np.dot(wts, qseg / e_at)
-            e_xa = np.exp(1j * rho * (x - a))
-            i_phi = sign * (e_xa * fwd - bwd / e_xa) / (2j * rho)
-            i_cos = sign * (e_xa * fwd + bwd / e_xa) / 2.0
-            i_w = sign * (fwd - bwd) / (2j * rho)
-    c = np.cos(rho * (x - a)) + i_phi
-    c_prime = -rho * np.sin(rho * (x - a)) + i_cos
-    s = phi(rho, x - a)
-    s_prime = np.cos(rho * (x - a))
+        ts = np.linspace(lo / n, hi / n, hi - lo + 1)
+        wts = simpson_weights(hi - lo) / n
+        qseg = q.samples[lo : hi + 1]
+        i_phi = sign * np.dot(wts, qseg * phi(rho, x - ts))
+        i_cos = sign * np.dot(wts, qseg * np.cos(rho * (x - ts)))
+        i_w = sign * np.dot(wts, qseg * phi(rho, a - ts))
+    else:
+        # the same three integrals from fwd/bwd = int q(t) e^{+-i rho (a-t)} dt:
+        # sin/cos rho(x-t) split into e^{+-i rho (x-a)} times e^{+-i rho (a-t)}
+        c_seg = simpson_weights(hi - lo) / n * q.samples[lo : hi + 1]
+        fwd, bwd = _exp_sums(c_seg, rho, a - lo / n, n)
+        e_xa = cmath.exp(1j * arg)
+        i_phi = sign * (e_xa * fwd - bwd / e_xa) / (2j * rho)
+        i_cos = sign * (e_xa * fwd + bwd / e_xa) / 2.0
+        i_w = sign * (fwd - bwd) / (2j * rho)
+    cos_xa, sin_xa = cmath.cos(arg), cmath.sin(arg)
     return FundamentalSolutions(
         x=float(x),
         lam=complex(lam),
-        c=complex(c),
-        c_prime=complex(c_prime),
-        s=complex(s),
-        s_prime=complex(s_prime),
+        c=complex(cos_xa + i_phi),
+        c_prime=complex(-rho * sin_xa + i_cos),
+        s=sin_xa / rho if exp_kernel else phi(rho, x - a),  # phi: a series near rho = 0
+        s_prime=cos_xa,
         w=complex(1.0 + i_w),
     )
 
@@ -269,8 +309,7 @@ class _SampledDelta:
         self.gamma, self.factored, self.n = gamma, factored, w.n
         self.cosine = factored and gamma == 1
         span = w.n // 2 if factored else w.n
-        self.xs = np.linspace(0.0, span / w.n, span + 1)
-        self.wts = simpson_weights(span) / w.n
+        self.xs, self.wts = _simpson_grid(span, w.n)
         self.samples = w.samples[span::-1] if factored else w.samples
 
     def __call__(self, lam: complex) -> complex:

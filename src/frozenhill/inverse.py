@@ -181,6 +181,11 @@ def delta_from_spectrum(
     turns its factor into 1, otherwise the pole is cancelled against the zero
     of Delta0 of the corresponding multiplicity.
 
+    Collision rule: a point within 1e-8 (1 + |lambda|) of lambda_p^0 whose
+    eigenvalue lambda_p also lies within that tolerance returns exactly 0,
+    even where lambda_p != lambda_p^0 and the truncated product's limit,
+    -Delta0'(lambda_p^0) (lambda_p - lambda_p^0) prod_{n != p}(...), is not 0.
+
     lam is a scalar (a complex comes back) or a 1-D array of K points (an
     array of K values comes back); the ratios are formed _BLOCK points at a
     time, and each value is bit-identical to the call with that point alone.

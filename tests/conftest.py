@@ -113,3 +113,16 @@ def window_flat_potential(rng, a, grid_n, scale=3.0) -> Potential:
     envelope = np.sin(np.pi * xs) ** 6 * (np.cos(np.pi * xs) - np.cos(np.pi * a)) ** 3
     trig = t[0] + t[1] * np.cos(2 * np.pi * xs) + t[2] * np.sin(2 * np.pi * xs)
     return Potential(envelope * trig)
+
+
+def gram_entry_by_quadrature(alpha, m, n, grid_n=2048) -> complex:
+    """int_0^1 sin((2m+alpha) pi x) conj(sin((2n+alpha) pi x)) dx by composite Simpson.
+
+    Independent of frozenhill's quadrature: its own nodes and weights.
+    """
+    xs = np.linspace(0.0, 1.0, grid_n + 1)
+    wts = np.where(np.arange(grid_n + 1) % 2 == 1, 4.0, 2.0)
+    wts[0] = wts[-1] = 1.0
+    fm = np.sin((2 * m + alpha) * np.pi * xs)
+    fn = np.sin((2 * n + alpha) * np.pi * xs)
+    return complex(np.dot(wts, fm * np.conj(fn)) / (3.0 * grid_n))

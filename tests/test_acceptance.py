@@ -10,6 +10,7 @@ import numpy as np
 
 from conftest import (
     flat_sine_coeffs,
+    gram_entry_by_quadrature,
     half_ratio_potential,
     potential_from_w_coeffs,
     sine_poly_potential,
@@ -41,7 +42,7 @@ from frozenhill import (
     rel_l2_error,
     verify_asymptotics,
 )
-from frozenhill.basis import _quadrature_entry, gram_matrix
+from frozenhill.basis import gram_matrix
 from frozenhill.core import reference_lambda
 
 PI = np.pi
@@ -308,7 +309,7 @@ def test_criterion_9_riesz_frame_proxy():
         for m in (-2, 0, 2):
             for n in (-1, 1):
                 worst_quad = max(
-                    worst_quad, abs(g[m + 6, n + 6] - _quadrature_entry(alpha, m, n))
+                    worst_quad, abs(g[m + 6, n + 6] - gram_entry_by_quadrature(alpha, m, n))
                 )
     elapsed = time.perf_counter() - start
     ok = ok and worst_quad <= 1e-10 and elapsed < 5.0

@@ -1,5 +1,7 @@
 """Tests for kernel assembly, the two Delta routes and eigenvalue location."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from frozenhill import forward
 from frozenhill.forward import (
     PAIR_GAP,
     _SampledDelta,
+    _exp_sums,
     _newton_lambda,
     _quadratic_pair_refine,
     _reference_sums,
@@ -134,6 +137,24 @@ class TestFundamentalSolutions:
                 ref = fundamental_reference(x, lam, q, cfg)
                 for got, want in zip((fs.c, fs.c_prime, fs.w), ref):
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (x, rho)
+
+    @pytest.mark.parametrize("n", [16, 18, 1000, 2048])
+    def test_blocked_sums_match_direct(self, n):
+        # segment lengths around the b x b blocking (b = isqrt(n)), and the full grid;
+        # the reference is the direct sum in extended precision where the
+        # platform has it
+        rng = np.random.default_rng(n)
+        b = math.isqrt(n)
+        for size in sorted({1, 2, 3, b * b - 1, b * b, b * b + 1, n + 1}):
+            c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+            k = np.arange(size, dtype=np.longdouble)
+            for rho in (0.5, 3 + 0.2j, 40 - 7j, 2 + 60j, 0.7 - 150j, 5 + 300j, -5 - 300j, 200 + 200j):
+                for anchor in (0.0, 0.25, (size - 1) / n):
+                    fwd, bwd = _exp_sums(c, rho, anchor, n)
+                    e = np.exp(1j * np.clongdouble(rho) * (np.longdouble(anchor) - k / n))
+                    for got, terms in ((fwd, c * e), (bwd, c / e)):
+                        bound = 1e-13 * np.sum(np.abs(terms))
+                        assert abs(np.clongdouble(got) - np.sum(terms)) <= bound, (size, rho, anchor)
 
     def test_wronski_identity(self):
         rng = np.random.default_rng(7)
@@ -343,6 +364,29 @@ class TestDegenerateFirstPass:
             assert abs(minus[idx] - np.dot(c, np.exp(-1j * rho0 * xs))) <= slack[idx]
             # the bound's shift term: Newton's first check runs at sqrt(rho0^2)
             assert abs(np.sqrt(complex(rho0 * rho0)) - rho0) <= 8 * 2.0**-53 * abs(rho0)
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, 0.5 + 0.5j])
+    def test_reference_check_spares_the_rounding_bound(self, gamma):
+        # a window whose value at rho0 clears tol, but not by the sums' rounding
+        # bound, must go to Newton; once tol clears value + bound it passes
+        rng = np.random.default_rng(27)
+        q = trig_poly_potential(rng, 64, degree=5)
+        w = build_w(q, FrozenConfig(a=0.25, gamma=gamma))
+        kernel = _SampledDelta(w, gamma, factored=gamma in (1, -1))
+        alpha = compute_alpha(gamma)
+        plus, minus, slack = _reference_sums(kernel.wts * kernel.samples, w.n, alpha, 8)
+        for idx in (2, 4, 6):  # |rho0| > 2, so dividing a bound by |rho0| shrinks it
+            rho0 = reference_rho(idx, alpha)
+            # the value and the bound as the check forms them from the two sums
+            if kernel.cosine:
+                part, bound = -(plus[idx] + minus[idx]) / 2.0, slack[idx]
+            else:
+                part, bound = (plus[idx] - minus[idx]) / (2j * rho0), slack[idx] / abs(rho0)
+            lam = rho0 * rho0
+            value = abs(kernel._value(lam, np.sqrt(complex(lam)), part))
+            args = (rho0, plus[idx], minus[idx], slack[idx])
+            assert not kernel.passes_at(*args, value + bound / 2)
+            assert kernel.passes_at(*args, value + 2 * bound)
 
     @pytest.mark.parametrize(
         "seed, n, m",

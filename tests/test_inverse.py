@@ -194,6 +194,26 @@ class TestDeltaFromSpectrum:
         val = delta_from_spectrum(spec, (2 * PI) ** 2, 40)
         assert abs(val) < 1e-9
 
+    def test_collision_rule_returns_zero_not_the_limit(self):
+        # the documented collision rule, pinned so that changing it is deliberate:
+        # at lambda_p^0, with lambda_p within 1e-8 (1 + |lambda|) of it but not
+        # equal, the value is exactly 0, while the truncated product tends to
+        # -Delta0'(lambda_p^0) (lambda_p - lambda_p^0) prod_{n != p}(...) != 0
+        rng = np.random.default_rng(28)
+        q = trig_poly_potential(rng, 256, degree=3)
+        spec = compute_spectrum(q, FrozenConfig(a=0.25, gamma=2.0), 40)
+        p, n_trunc = 7, 40
+        refs = reference_lambda_array(n_trunc, spec.alpha)
+        values = spec.values.copy()
+        values[p] = refs[p] + 1e-9 * (1.0 + abs(refs[p]))
+        moved = Spectrum(values=values, config=spec.config, alpha=spec.alpha)
+        assert delta_from_spectrum(moved, refs[p], n_trunc) == 0
+        assert delta_from_spectrum(moved, np.array([refs[p]]), n_trunc)[0] == 0
+        others = np.arange(n_trunc) != p
+        ratios = (values[others] - refs[p]) / (refs[others] - refs[p])
+        limit = -delta0_d1(refs[p], 2.0) * (values[p] - refs[p]) * np.prod(ratios)
+        assert abs(limit) > 1e-9
+
     def test_collision_at_lambda_zero_periodic(self):
         rng = np.random.default_rng(22)
         q = sine_poly_potential(rng, 512, degree=3)
