@@ -38,20 +38,6 @@ _QUAD_CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class GramTruncation:
-    """Hermitian Gram matrix of sin((2n+alpha)pi x), n = -N..N, on L2(0, 1)."""
-
-    alpha: complex
-    n_half: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.matrix, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-
-@dataclass(frozen=True)
 class RieszRow:
     n_half: int
     lower: float
@@ -105,8 +91,9 @@ def _quadrature_rows(alpha: complex, ms: np.ndarray) -> np.ndarray:
     return np.sin(np.multiply.outer((2 * ms + alpha) * PI, xs))
 
 
-def gram_matrix(alpha: complex, n_half: int, cross_check: bool = True) -> GramTruncation:
-    """Assemble the Gram truncation; optionally verify a central block by quadrature."""
+def gram_matrix(alpha: complex, n_half: int, cross_check: bool = True) -> np.ndarray:
+    """The read-only Hermitian Gram matrix of sin((2n+alpha)pi x), n = -N..N, on
+    L2(0, 1); optionally a central block is verified by quadrature."""
     alpha = complex(alpha)
     g = _gram_entries(alpha, n_half)
     if cross_check:
@@ -122,7 +109,8 @@ def gram_matrix(alpha: complex, n_half: int, cross_check: bool = True) -> GramTr
                 f"Gram closed form and quadrature disagree at ({ms[i]},{ms[j]}): "
                 f"{err[i, j]:.3e}"
             )
-    return GramTruncation(alpha=alpha, n_half=n_half, matrix=g)
+    g.setflags(write=False)
+    return g
 
 
 def frame_bounds(alpha: complex, n_half: int) -> tuple[float, float]:

@@ -6,6 +6,7 @@ error, 4 numerical/convergence failure, 5 tolerance failure in a check.
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import click
@@ -39,17 +40,19 @@ def _fail(code: int, exc: Exception):
 
 
 def _guarded(fn):
-    """Run a command body, mapping library exceptions onto exit codes."""
-    try:
-        fn()
-    except FileFormatError as exc:
-        _fail(EXIT_PARSE, exc)
-    except OSError as exc:
-        _fail(EXIT_PARSE, exc)
-    except ConfigError as exc:
-        _fail(EXIT_PRECONDITION, exc)
-    except FrozenHillError as exc:
-        _fail(EXIT_NUMERIC, exc)
+    """Decorate a command so library exceptions become its exit codes."""
+    @functools.wraps(fn)
+    def command(*args, **kwargs):
+        try:
+            fn(*args, **kwargs)
+        except (FileFormatError, OSError) as exc:
+            _fail(EXIT_PARSE, exc)
+        except ConfigError as exc:
+            _fail(EXIT_PRECONDITION, exc)
+        except FrozenHillError as exc:
+            _fail(EXIT_NUMERIC, exc)
+
+    return command
 
 
 def _gamma_option(text: str | None) -> complex | None:
@@ -62,6 +65,13 @@ def _resolve_config(file_config: FrozenConfig, a: float | None, gamma: str | Non
     new_a = file_config.a if a is None else a
     new_gamma = file_config.gamma if gamma is None else _gamma_option(gamma)
     return FrozenConfig(a=new_a, gamma=new_gamma)
+
+
+def _read_pair(in_path: str, in2_path: str, a: float | None) -> TwoSpectra:
+    """The periodic/antiperiodic pair, both at the first file's frozen point."""
+    spec0 = fio.read_spectrum(in_path, a=a)
+    a = spec0.config.a
+    return TwoSpectra(spec0=spec0, spec1=fio.read_spectrum(in2_path, a=a), a=a)
 
 
 def _read_operator(op_path: str | None):
@@ -120,19 +130,16 @@ def main():
 @click.option("--gamma", type=str, default=None, help="coupling override, re,im")
 @click.option("--m", "m_eigs", type=int, default=40, show_default=True, help="eigenvalue count")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="spectrum file")
+@_guarded
 def forward(in_path, a, gamma, m_eigs, out_path):
     """Compute the first M eigenvalues of a sampled potential."""
-
-    def body():
-        q, file_cfg = fio.read_potential(in_path)
-        cfg = _resolve_config(file_cfg, a, gamma)
-        spec = compute_spectrum(q, cfg, m_eigs)
-        _print_spectrum_summary(spec)
-        if out_path:
-            fio.write_spectrum(out_path, spec)
-            click.echo(f"wrote {out_path}")
-
-    _guarded(body)
+    q, file_cfg = fio.read_potential(in_path)
+    cfg = _resolve_config(file_cfg, a, gamma)
+    spec = compute_spectrum(q, cfg, m_eigs)
+    _print_spectrum_summary(spec)
+    if out_path:
+        fio.write_spectrum(out_path, spec)
+        click.echo(f"wrote {out_path}")
 
 
 @main.command()
@@ -144,15 +151,12 @@ def forward(in_path, a, gamma, m_eigs, out_path):
 @click.option("--op", "op_path", type=click.Path(), default=None,
               help="operator file (required for gamma = +-1)")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="potential file")
+@_guarded
 def inverse1(in_path, a, kterms, ntrunc, grid_n, op_path, out_path):
     """Reconstruct the potential from one spectrum."""
-
-    def body():
-        spec = fio.read_spectrum(in_path, a=a)
-        q = reconstruct(spec, kterms, ntrunc, grid_n, _read_operator(op_path))
-        _echo_reconstruction(q, spec.config, out_path)
-
-    _guarded(body)
+    spec = fio.read_spectrum(in_path, a=a)
+    q = reconstruct(spec, kterms, ntrunc, grid_n, _read_operator(op_path))
+    _echo_reconstruction(q, spec.config, out_path)
 
 
 @main.command()
@@ -165,18 +169,12 @@ def inverse1(in_path, a, kterms, ntrunc, grid_n, op_path, out_path):
 @click.option("--op", "op_path", type=click.Path(), default=None,
               help="operator file (required for interior a)")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="potential file")
+@_guarded
 def inverse2(in_path, in2_path, a_opt, kterms, ntrunc, grid_n, op_path, out_path):
     """Reconstruct the potential from the periodic/antiperiodic spectra pair."""
-
-    def body():
-        spec0 = fio.read_spectrum(in_path, a=a_opt)
-        a = spec0.config.a
-        spec1 = fio.read_spectrum(in2_path, a=a)
-        two = TwoSpectra(spec0=spec0, spec1=spec1, a=a)
-        q = reconstruct(two, kterms, ntrunc, grid_n, _read_operator(op_path))
-        _echo_reconstruction(q, FrozenConfig(a=a, gamma=1.0), out_path)
-
-    _guarded(body)
+    two = _read_pair(in_path, in2_path, a_opt)
+    q = reconstruct(two, kterms, ntrunc, grid_n, _read_operator(op_path))
+    _echo_reconstruction(q, FrozenConfig(a=two.a, gamma=1.0), out_path)
 
 
 @main.command()
@@ -191,27 +189,24 @@ def inverse2(in_path, in2_path, a_opt, kterms, ntrunc, grid_n, op_path, out_path
               help="operator file for the degenerate couplings")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="reconstructed potential file")
+@_guarded
 def roundtrip(in_path, a, gamma, m_eigs, kterms, ntrunc, tol, op_path, out_path):
     """Forward-solve a potential, reconstruct it, and report the relative L2 error."""
-
-    def body():
-        q, file_cfg = fio.read_potential(in_path)
-        cfg = _resolve_config(file_cfg, a, gamma)
-        op = _read_operator(op_path)
-        if m_eigs >= 1:  # else compute_spectrum names the bad --m
-            check_reconstruct(m_eigs, kterms, ntrunc, cfg.gamma, op)
-        spec = compute_spectrum(q, cfg, m_eigs)
-        q_rec = reconstruct(spec, kterms, ntrunc, q.n, op)
-        err = rel_l2_error(q_rec, q)
-        status = "PASS" if err <= tol else "FAIL"
-        click.echo(f"relative L2 reconstruction error: {err:.6e}  [{status}, tol {tol:g}]")
-        if out_path:
-            fio.write_potential(out_path, q_rec, cfg)
-            click.echo(f"wrote {out_path}")
-        if err > tol:
-            sys.exit(EXIT_TOLERANCE)
-
-    _guarded(body)
+    q, file_cfg = fio.read_potential(in_path)
+    cfg = _resolve_config(file_cfg, a, gamma)
+    op = _read_operator(op_path)
+    if m_eigs >= 1:  # else compute_spectrum names the bad --m
+        check_reconstruct(m_eigs, kterms, ntrunc, cfg.gamma, op)
+    spec = compute_spectrum(q, cfg, m_eigs)
+    q_rec = reconstruct(spec, kterms, ntrunc, q.n, op)
+    err = rel_l2_error(q_rec, q)
+    status = "PASS" if err <= tol else "FAIL"
+    click.echo(f"relative L2 reconstruction error: {err:.6e}  [{status}, tol {tol:g}]")
+    if out_path:
+        fio.write_potential(out_path, q_rec, cfg)
+        click.echo(f"wrote {out_path}")
+    if err > tol:
+        sys.exit(EXIT_TOLERANCE)
 
 
 @main.command()
@@ -224,16 +219,13 @@ def roundtrip(in_path, a, gamma, m_eigs, kterms, ntrunc, tol, op_path, out_path)
 @click.option("--grid", "grid_n", type=int, default=1024, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="output prefix; members go to PREFIX.<i>.pot")
+@_guarded
 def isospectral(in_path, a, op_paths, kterms, ntrunc, grid_n, out_path):
     """Generate iso-spectral potentials for a degenerate-coupling spectrum."""
-
-    def body():
-        spec = fio.read_spectrum(in_path, a=a)
-        profiles = _constant_profiles(op_paths)
-        members = isospectral_family(spec, spec.config, profiles, kterms, ntrunc, grid_n)
-        _echo_members(members, spec.config, out_path)
-
-    _guarded(body)
+    spec = fio.read_spectrum(in_path, a=a)
+    profiles = _constant_profiles(op_paths)
+    members = isospectral_family(spec, spec.config, profiles, kterms, ntrunc, grid_n)
+    _echo_members(members, spec.config, out_path)
 
 
 @main.command()
@@ -245,17 +237,12 @@ def isospectral(in_path, a, op_paths, kterms, ntrunc, grid_n, out_path):
 @click.option("--ntrunc", type=int, default=60, show_default=True)
 @click.option("--grid", "grid_n", type=int, default=1024, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
+@_guarded
 def isobispectral(in_path, in2_path, a, op_paths, kterms, ntrunc, grid_n, out_path):
     """Generate iso-bispectral potentials sharing a periodic/antiperiodic pair."""
-
-    def body():
-        spec0 = fio.read_spectrum(in_path, a=a)
-        spec1 = fio.read_spectrum(in2_path, a=a)
-        two = TwoSpectra(spec0=spec0, spec1=spec1, a=a)
-        members = isobispectral_family(two, _constant_profiles(op_paths), kterms, ntrunc, grid_n)
-        _echo_members(members, FrozenConfig(a=a, gamma=1.0), out_path)
-
-    _guarded(body)
+    two = _read_pair(in_path, in2_path, a)
+    members = isobispectral_family(two, _constant_profiles(op_paths), kterms, ntrunc, grid_n)
+    _echo_members(members, FrozenConfig(a=a, gamma=1.0), out_path)
 
 
 @main.command()
@@ -263,42 +250,39 @@ def isobispectral(in_path, in2_path, a, op_paths, kterms, ntrunc, grid_n, out_pa
 @click.option("--m", "n_max", type=int, default=64, show_default=True,
               help="largest Gram half-width; doubling sizes from 4 are tabulated")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="CSV report")
+@_guarded
 def basischeck(gamma, n_max, out_path):
     """Frame bounds of the two-sided sine system across growing truncations."""
-
-    def body():
-        g = _gamma_option(gamma)
-        alpha = compute_alpha(g).alpha
-        if n_max < 4:
-            raise ConfigError("--m must be at least 4")
-        sizes = []
-        n = 4
-        while n <= n_max:
-            sizes.append(n)
-            n *= 2
-        report = riesz_report(alpha, sizes)
-        click.echo(f"alpha = {alpha:.12g}")
-        click.echo(f"{'N':>6} {'A1':>16} {'A2':>16} {'cond':>16}")
-        for row in report.rows:
-            click.echo(
-                f"{row.n_half:>6} {row.lower:>16.9e} {row.upper:>16.9e} {row.condition:>16.6e}"
-            )
+    g = _gamma_option(gamma)
+    alpha = compute_alpha(g).alpha
+    if n_max < 4:
+        raise ConfigError("--m must be at least 4")
+    sizes = []
+    n = 4
+    while n <= n_max:
+        sizes.append(n)
+        n *= 2
+    report = riesz_report(alpha, sizes)
+    click.echo(f"alpha = {alpha:.12g}")
+    click.echo(f"{'N':>6} {'A1':>16} {'A2':>16} {'cond':>16}")
+    for row in report.rows:
         click.echo(
-            f"lower bounds non-increasing: {report.lower_nonincreasing}; "
-            f"upper bounds non-decreasing: {report.upper_nondecreasing}"
+            f"{row.n_half:>6} {row.lower:>16.9e} {row.upper:>16.9e} {row.condition:>16.6e}"
         )
-        if out_path:
-            lines = ["n,lower,upper,condition"]
-            for row in report.rows:
-                lines.append(
-                    f"{row.n_half},{fio.fmt_float(row.lower)},"
-                    f"{fio.fmt_float(row.upper)},{fio.fmt_float(row.condition)}"
-                )
-            with open(out_path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-            click.echo(f"wrote {out_path}")
-
-    _guarded(body)
+    click.echo(
+        f"lower bounds non-increasing: {report.lower_nonincreasing}; "
+        f"upper bounds non-decreasing: {report.upper_nondecreasing}"
+    )
+    if out_path:
+        lines = ["n,lower,upper,condition"]
+        for row in report.rows:
+            lines.append(
+                f"{row.n_half},{fio.fmt_float(row.lower)},"
+                f"{fio.fmt_float(row.upper)},{fio.fmt_float(row.condition)}"
+            )
+        with open(out_path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        click.echo(f"wrote {out_path}")
 
 
 @main.command()
@@ -307,23 +291,17 @@ def basischeck(gamma, n_max, out_path):
 @click.option("--a", type=float, required=True)
 @click.option("--ntrunc", type=int, default=60, show_default=True)
 @click.option("--grid", "grid_n", type=int, default=512, show_default=True)
+@_guarded
 def growthcheck(in_path, in2_path, a, ntrunc, grid_n):
     """Test whether a spectra pair can share a potential (support of w0 + w1)."""
-
-    def body():
-        spec0 = fio.read_spectrum(in_path, a=a)
-        spec1 = fio.read_spectrum(in2_path, a=a)
-        two = TwoSpectra(spec0=spec0, spec1=spec1, a=a)
-        report = check_growth(two, ntrunc, grid_n)
-        status = "PASS" if report.passed else "FAIL"
-        click.echo(
-            f"max |w0 + w1| on (1-a, 1): {report.max_violation:.6e} "
-            f"(overall scale {report.scale:.6e})  [{status}]"
-        )
-        if not report.passed:
-            sys.exit(EXIT_TOLERANCE)
-
-    _guarded(body)
+    report = check_growth(_read_pair(in_path, in2_path, a), ntrunc, grid_n)
+    status = "PASS" if report.passed else "FAIL"
+    click.echo(
+        f"max |w0 + w1| on (1-a, 1): {report.max_violation:.6e} "
+        f"(overall scale {report.scale:.6e})  [{status}]"
+    )
+    if not report.passed:
+        sys.exit(EXIT_TOLERANCE)
 
 
 if __name__ == "__main__":

@@ -91,11 +91,11 @@ def simpson(values: np.ndarray, h: float) -> complex:
     return complex(h * np.dot(simpson_weights(len(values) - 1), values))
 
 
-def snap_index(a: float, n: int, tol: float = SNAP_TOL) -> int:
+def snap_index(a: float, n: int) -> int:
     """Map the frozen point a onto its grid index, rejecting misaligned values."""
     j = a * n
     k = round(j)
-    if abs(j - k) > tol * max(1.0, n):
+    if abs(j - k) > SNAP_TOL * max(1.0, n):
         raise ConfigError(f"frozen point a={a} does not align with the n={n} grid")
     return int(k)
 

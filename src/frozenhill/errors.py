@@ -31,7 +31,7 @@ class GrowthConditionError(ConfigError):
 
 
 class RootIsolationError(FrozenHillError):
-    """Eigenvalue iteration failed to converge inside its asymptotic window (exit 4)."""
+    """No value with residual under tol was found inside an eigenvalue's window (exit 4)."""
 
     def __init__(self, index, message=None):
         self.index = index

@@ -10,7 +10,9 @@ Their agreement is the central consistency check of the whole package.
 On grid samples of w the integral form has one implementation, _SampledDelta,
 shared by eval_delta_fundrep and compute_spectrum (as the cofactor of Delta at
 gamma = +-1).  compute_spectrum runs one window loop for every gamma: an FFT
-check at every reference point, Newton in lambda near rho = 0, else a root search.
+check at every reference point, Newton in lambda near rho = 0, else Newton in
+rho.  Every value it returns has passed one rule, _accepted: a residual under
+tol, and a root within WINDOW_RADIUS of its reference point; else it raises.
 """
 
 from __future__ import annotations
@@ -285,8 +287,7 @@ def eval_delta_fundrep(lam: complex, w, gamma: complex) -> complex:
         raise ConfigError("w must be a Potential or a SineSeries")
     rho = np.sqrt(complex(lam))
     total = 0.0 + 0.0j
-    for k in range(1, w.k_max + 1):
-        bk = w.coeffs[k - 1]
+    for k, bk in enumerate(w.coeffs, start=1):
         if bk != 0:
             total += bk * _sine_phi_integral(k, rho)
     return delta0(lam, gamma) - total
@@ -347,53 +348,51 @@ class _SampledDelta:
         return abs(value) + bound + _ROUNDING_SLACK * tol < tol
 
 
-def _newton_rho(g, rho0: complex, tol: float, damping: float = 1.0):
-    """Damped Newton in rho with a hard fence one window away from the start."""
-    rho = rho0
+def _slope(g, z: complex) -> complex:
+    """Central-difference derivative of g at z."""
+    h = 1e-6 * (1.0 + abs(z))
+    return (g(z + h) - g(z - h)) / (2.0 * h)
+
+
+def _newton(g, z0: complex, tol: float, damping: float = 1.0, fence: float = math.inf):
+    """Damped Newton from z0: the last iterate and whether |g| < tol there; an
+    iterate further than fence from z0 fails."""
+    z = z0
     for _ in range(NEWTON_MAX_ITER):
-        val = g(rho)
+        val = g(z)
         if abs(val) < tol:
-            return rho, True
-        h = 1e-6 * (1.0 + abs(rho))
-        der = (g(rho + h) - g(rho - h)) / (2.0 * h)
+            return z, True
+        der = _slope(g, z)
         if der == 0:
-            return rho, False
-        rho = rho - damping * val / der
-        if abs(rho - rho0) > 2.0 * PI:
-            return rho, False
-    return rho, abs(g(rho)) < tol
+            return z, False
+        z = z - damping * val / der
+        if abs(z - z0) > fence:
+            return z, False
+    return z, abs(g(z)) < tol
 
 
-def _newton_lambda(g, lam0: complex, tol: float):
-    """Newton directly in lambda; used where the rho-derivative vanishes (rho ~ 0)."""
-    lam = lam0
-    for _ in range(NEWTON_MAX_ITER):
-        val = g(lam)
-        if abs(val) < tol:
-            return lam, True
-        h = 1e-6 * (1.0 + abs(lam))
-        der = (g(lam + h) - g(lam - h)) / (2.0 * h)
-        if der == 0:
-            return lam, False
-        lam = lam - val / der
-    return lam, abs(g(lam)) < tol
+def _accepted(rho: complex, ok: bool, rho0: complex) -> bool:
+    """The one acceptance rule: a residual under tol (ok) and rho in the window of rho0."""
+    return ok and abs(rho - rho0) <= WINDOW_RADIUS
 
 
-def _solve_window(g, rho0: complex, tol: float, index: int) -> complex:
-    """Locate the root of g inside the asymptotic window centred at rho0."""
+def _root_near(lam: complex, rho0: complex) -> complex:
+    """The square root of lam nearer to rho0."""
+    root = np.sqrt(complex(lam))
+    return root if abs(root - rho0) <= abs(root + rho0) else -root
+
+
+def _solve_window(g, rho0: complex, tol: float):
+    """Newton from rho0, then damped, then from the least |g| of a 17x17 scan of
+    the window: the first try that _accepted passes, else the last try."""
     for damping in (1.0, 0.5):
-        rho, ok = _newton_rho(g, rho0, tol, damping)
-        if ok and abs(rho - rho0) <= WINDOW_RADIUS:
-            return rho
-    # coarse scan over the window, then polish
+        rho, ok = _newton(g, rho0, tol, damping, fence=2.0 * PI)
+        if _accepted(rho, ok, rho0):
+            return rho, ok
     offs = np.linspace(-WINDOW_RADIUS, WINDOW_RADIUS, 17)
     cand_grid = rho0 + offs[:, None] + 1j * offs[None, :]
-    vals = np.abs([[g(c) for c in row] for row in cand_grid])
-    seed = cand_grid[np.unravel_index(np.argmin(vals), vals.shape)]
-    rho, ok = _newton_rho(g, complex(seed), tol)
-    if ok and abs(rho - rho0) <= WINDOW_RADIUS:
-        return rho
-    raise RootIsolationError(index)
+    seed = cand_grid.flat[np.argmin(np.abs([g(c) for c in cand_grid.flat]))]
+    return _newton(g, complex(seed), tol, fence=2.0 * PI)
 
 
 def _quadratic_pair_refine(g, rho0_i, rho0_j, tol):
@@ -416,8 +415,7 @@ def _quadratic_pair_refine(g, rho0_i, rho0_j, tol):
             if abs(val) < tol:
                 polished.append(own)
                 continue
-            hstep = 1e-6 * (1.0 + abs(own))
-            der = (g(own + hstep) - g(own - hstep)) / (2.0 * hstep)
+            der = _slope(g, own)
             gap = own - other
             deflated = der - (val / gap if gap != 0 else 0.0)
             polished.append(own - val / deflated if deflated != 0 else own)
@@ -425,9 +423,7 @@ def _quadratic_pair_refine(g, rho0_i, rho0_j, tol):
     # assign by proximity to the two reference points
     direct = abs(roots[0] - rho0_i) + abs(roots[1] - rho0_j)
     swapped = abs(roots[1] - rho0_i) + abs(roots[0] - rho0_j)
-    if swapped < direct:
-        roots = [roots[1], roots[0]]
-    return roots[0], roots[1]
+    return (roots[1], roots[0]) if swapped < direct else (roots[0], roots[1])
 
 
 def _reference_sums(c: np.ndarray, n: int, alpha: AlphaParam, m: int):
@@ -482,8 +478,7 @@ def compute_spectrum(q: Potential, config: FrozenConfig, m: int) -> Spectrum:
     """
     if m < 1:
         raise ConfigError("eigenvalue count m must be positive")
-    gamma = config.gamma
-    alpha = compute_alpha(gamma)
+    gamma, alpha = config.gamma, compute_alpha(config.gamma)
     factored = gamma in (1, -1)
     delta = _SampledDelta(build_w(q, config), gamma, factored)
 
@@ -495,28 +490,22 @@ def compute_spectrum(q: Potential, config: FrozenConfig, m: int) -> Spectrum:
     out = np.empty(m, dtype=complex)
     refs = np.empty(m, dtype=complex)
     for idx in range(m):
-        rho0 = reference_rho(idx, alpha)
-        refs[idx] = rho0
+        rho0 = refs[idx] = reference_rho(idx, alpha)
         if factored and idx % 2 == 1:
             out[idx] = rho0 * rho0  # degenerate half of the spectrum, emitted exactly
             continue
-        tol = delta.tol(rho0)
+        tol, lam = delta.tol(rho0), None
         if abs(rho0) < 0.5:
             # g is even in rho, so Newton in rho stalls near the origin
-            lam, ok = _newton_lambda(delta, rho0 * rho0, tol)
-            if not ok:
-                raise RootIsolationError(idx)
-            if factored:
-                out[idx] = lam
-            else:
-                root = np.sqrt(complex(lam))
-                out[idx] = root if abs(root - rho0) <= abs(root + rho0) else -root
-            continue
-        if delta.passes_at(rho0, plus[idx], minus[idx], slack[idx], tol):
-            rho = rho0
+            lam, ok = _newton(delta, rho0 * rho0, tol)
+            rho = _root_near(lam, rho0)
+        elif delta.passes_at(rho0, plus[idx], minus[idx], slack[idx], tol):
+            rho, ok = rho0, True
         else:
-            rho = _solve_window(g, rho0, tol, idx)
-        out[idx] = rho * rho if factored else rho
+            rho, ok = _solve_window(g, rho0, tol)
+        if not _accepted(rho, ok, rho0):
+            raise RootIsolationError(idx)
+        out[idx] = (rho * rho if lam is None else lam) if factored else rho
     if factored:
         return Spectrum(values=out, config=config, alpha=alpha)
     # re-refine nearly coincident converged pairs (near-degenerate gamma).  Only
@@ -524,10 +513,14 @@ def compute_spectrum(q: Potential, config: FrozenConfig, m: int) -> Spectrum:
     # in [k pi, (k + 1) pi], and indices of one parity lie exactly 2 pi apart;
     # reference points of indices two or more apart thus differ by at least
     # 2 pi > 1.  Scanning i -> i + 1 upwards meets the qualifying pairs in the
-    # same order, and with the same values, as a scan over all pairs.
+    # same order, and with the same values, as a scan over all pairs.  Both
+    # refined values pass the acceptance rule, their residuals evaluated afresh.
     for i in range(m - 1):
         if abs(out[i] - out[i + 1]) < PAIR_GAP and abs(refs[i] - refs[i + 1]) < 1.0:
             out[i], out[i + 1] = _quadratic_pair_refine(g, refs[i], refs[i + 1], delta.tol(0))
+            for k in (i, i + 1):
+                if not _accepted(out[k], abs(g(out[k])) < delta.tol(0), refs[k]):
+                    raise RootIsolationError(k)
     return Spectrum(values=out * out, config=config, alpha=alpha)
 
 
@@ -539,11 +532,8 @@ def verify_asymptotics(spec: Spectrum) -> AsymptoticResidues:
     eps = np.empty(m, dtype=complex)
     for idx, lam in enumerate(spec.values):
         rho0 = reference_rho(idx, alpha)
-        root = np.sqrt(complex(lam))
-        if abs(-root - rho0) < abs(root - rho0):
-            root = -root
         kappa[idx] = lam - rho0 * rho0
-        eps[idx] = root - rho0
+        eps[idx] = _root_near(lam, rho0) - rho0
     quarter = max(1, m // 4)
     first = float(np.sum(np.abs(kappa[:quarter]) ** 2))
     last = float(np.sum(np.abs(kappa[m - quarter :]) ** 2))

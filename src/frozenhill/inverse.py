@@ -39,6 +39,9 @@ from .forward import SineSeries
 #: collision tolerance between an evaluation point and a reference zero
 _COLLISION_RTOL = 1e-8
 
+#: relative gap of an odd-indexed eigenvalue from its reference that check_degeneration allows
+_DEGENERATION_RTOL = 1e-9
+
 #: evaluation points per block of the zero product
 _BLOCK = 16
 
@@ -326,8 +329,8 @@ def recover_w(spec: Spectrum, k_terms: int, n_trunc: int) -> SineSeries:
     return SineSeries(2.0 * PI * ks * (free - delta))
 
 
-def check_degeneration(spec: Spectrum, tol: float = 1e-9) -> bool:
-    """True iff every odd-indexed eigenvalue sits exactly on its reference.
+def check_degeneration(spec: Spectrum) -> bool:
+    """True iff every odd-indexed eigenvalue sits on its reference to _DEGENERATION_RTOL.
 
     A NaN eigenvalue fails.  np.hypot rounds as abs() of a complex does.
     """
@@ -336,7 +339,7 @@ def check_degeneration(spec: Spectrum, tol: float = 1e-9) -> bool:
         raise ConfigError("degeneration check applies to gamma = +-1 only")
     refs = reference_lambda_array(len(spec), spec.alpha)[1::2]
     gap = spec.values[1::2] - refs
-    bound = tol * (1.0 + np.hypot(refs.real, refs.imag))
+    bound = _DEGENERATION_RTOL * (1.0 + np.hypot(refs.real, refs.imag))
     return bool(np.all(np.hypot(gap.real, gap.imag) <= bound))
 
 

@@ -14,12 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AlphaParam, FrozenConfig, Potential, Spectrum
+from .core import FrozenConfig, Potential, Spectrum, compute_alpha
 from .errors import ConfigError, FileFormatError
 from .inverse import OperatorSpec
 
 #: largest gap between a caller's frozen point and a spectrum file's that still matches
 _A_MATCH_TOL = 1e-12
+
+#: largest relative gap between a spectrum header's alpha and the one its gamma gives
+_ALPHA_MATCH_RTOL = 1e-12
 
 
 def fmt_float(x: float) -> str:
@@ -168,7 +171,8 @@ def read_spectrum(path, a: float | None = None) -> Spectrum:
     """Load a spectrum file; the frozen point comes from its `a=` header field.
 
     Files written without that field take the caller's a, or 0.0.  A caller's
-    a that conflicts with the header raises ConfigError.
+    a that conflicts with the header raises ConfigError.  alpha is derived from
+    gamma; a header alpha that contradicts it raises FileFormatError.
     """
     text = Path(path).read_text().splitlines()
     if not text:
@@ -193,10 +197,15 @@ def read_spectrum(path, a: float | None = None) -> Spectrum:
     if len(bad):
         raise FileFormatError(f"{path}: line {bad[0] + 2}: eigenvalue is not finite")
     try:
-        config = FrozenConfig(a=a, gamma=gamma)
+        config, derived = FrozenConfig(a=a, gamma=gamma), compute_alpha(gamma)
     except Exception as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    return Spectrum(values=values, config=config, alpha=AlphaParam(alpha))
+    if abs(alpha - derived.alpha) > _ALPHA_MATCH_RTOL * (1.0 + abs(derived.alpha)):
+        raise FileFormatError(
+            f"{path}: header alpha={fields['alpha']} contradicts gamma, "
+            f"whose alpha is {fmt_complex(derived.alpha)}"
+        )
+    return Spectrum(values=values, config=config, alpha=derived)
 
 
 def write_operator(path, op: OperatorSpec) -> None:

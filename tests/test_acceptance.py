@@ -305,7 +305,7 @@ def test_criterion_9_riesz_frame_proxy():
         ok = ok and abs(a1_16) <= 1e-10
     worst_quad = 0.0
     for alpha in (0.25, 0.3 + 0.1j):
-        g = gram_matrix(alpha, 6, cross_check=True).matrix
+        g = gram_matrix(alpha, 6, cross_check=True)
         for m in (-2, 0, 2):
             for n in (-1, 1):
                 worst_quad = max(

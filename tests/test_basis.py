@@ -32,7 +32,7 @@ def dense_gram(alpha, n_half):
 
 def frame_bounds_per_size(alpha, n_half):
     """Reference: a fresh Gram truncation per size, symmetrised before eigvalsh."""
-    g = gram_matrix(alpha, n_half, cross_check=False).matrix
+    g = gram_matrix(alpha, n_half, cross_check=False)
     eigs = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
     return float(eigs[0]), float(eigs[-1])
 
@@ -84,12 +84,12 @@ def diagonal_entry(alpha, n):
 class TestGramMatrix:
     def test_hermitian(self):
         for alpha in (0.25, 0.3 + 0.1j, 0.5 + 0.5j):
-            g = gram_matrix(alpha, 6, cross_check=False).matrix
+            g = gram_matrix(alpha, 6, cross_check=False)
             assert np.max(np.abs(g - g.conj().T)) < 1e-12
 
     def test_closed_form_matches_quadrature(self):
         for alpha in (0.25, 0.3 + 0.1j):
-            g = gram_matrix(alpha, 4, cross_check=False).matrix
+            g = gram_matrix(alpha, 4, cross_check=False)
             for m in (-2, 0, 1):
                 for n in (-1, 0, 2):
                     quad = gram_entry_by_quadrature(alpha, m, n)
@@ -130,22 +130,22 @@ class TestGramMatrix:
 
     def test_diagonal_closed_form_real_alpha(self):
         alpha = 0.3
-        g = gram_matrix(alpha, 5, cross_check=False).matrix
+        g = gram_matrix(alpha, 5, cross_check=False)
         for n in (-3, 0, 2):
             assert g[n + 5, n + 5] == pytest.approx(diagonal_entry(alpha, n), abs=1e-13)
 
     def test_diagonal_half_for_alpha_half(self):
         # sin(2(2n + 1/2)pi) = sin((4n+1)pi) = 0, so every diagonal entry is 1/2
-        g = gram_matrix(0.5, 6, cross_check=False).matrix
+        g = gram_matrix(0.5, 6, cross_check=False)
         assert np.allclose(np.diag(g), 0.5, atol=1e-13)
 
     def test_integer_alpha_singular(self):
         # rows n and -n are proportional at alpha = 0
-        g = gram_matrix(0.0, 4, cross_check=False).matrix
+        g = gram_matrix(0.0, 4, cross_check=False)
         assert np.max(np.abs(g[4 + 1] + g[4 - 1])) < 1e-12
 
     def test_complex_alpha_finite(self):
-        g = gram_matrix(0.3 + 0.1j, 8, cross_check=False).matrix
+        g = gram_matrix(0.3 + 0.1j, 8, cross_check=False)
         assert np.all(np.isfinite(g))
 
 

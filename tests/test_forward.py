@@ -16,6 +16,7 @@ from frozenhill import (
     ConfigError,
     FrozenConfig,
     Potential,
+    RootIsolationError,
     SineSeries,
     build_w,
     compute_alpha,
@@ -31,8 +32,9 @@ from frozenhill import forward
 from frozenhill.forward import (
     PAIR_GAP,
     _SampledDelta,
+    _accepted,
     _exp_sums,
-    _newton_lambda,
+    _newton,
     _quadratic_pair_refine,
     _reference_sums,
     _solve_window,
@@ -288,10 +290,11 @@ def degenerate_reference(q, cfg, m):
         if idx % 2 == 1:
             lams[idx] = rho0 * rho0
         elif abs(rho0) < 0.5:
-            lams[idx], ok = _newton_lambda(inner_lam, rho0 * rho0, tol)
+            lams[idx], ok = _newton(inner_lam, rho0 * rho0, tol)
             assert ok
         else:
-            rho = _solve_window(lambda r: inner_lam(r * r), rho0, tol, idx)
+            rho, ok = _solve_window(lambda r: inner_lam(r * r), rho0, tol)
+            assert _accepted(rho, ok, rho0)
             lams[idx] = rho * rho
     return lams
 
@@ -325,13 +328,14 @@ def generic_reference(q, cfg, m):
         rho0 = reference_rho(idx, alpha)
         refs[idx] = rho0
         if abs(rho0) < 0.5:
-            lam, ok = _newton_lambda(dfun, rho0 * rho0, tol)
+            lam, ok = _newton(dfun, rho0 * rho0, tol)
             assert ok
             root = np.sqrt(complex(lam))
             rhos[idx] = root if abs(root - rho0) <= abs(root + rho0) else -root
         else:
             at_reference += abs(g(rho0)) < tol
-            rhos[idx] = _solve_window(g, rho0, tol, idx)
+            rhos[idx], ok = _solve_window(g, rho0, tol)
+            assert _accepted(rhos[idx], ok, rho0)
     refined = 0
     for i in range(m):
         for j in range(i + 1, m):
@@ -459,6 +463,75 @@ class TestPairRescan:
         if gamma == -1 - 1e-6:
             # indices pair as (2k, 2k + 1) near gamma = -1, so the last pair is refined too
             assert fired[-1][0] == reference_rho(m - 2, spec.alpha)
+
+
+class TestAcceptanceRule:
+    """Each returned value has a residual under tol and lies in its window, or the solve raises."""
+
+    @pytest.mark.parametrize(
+        "scale, gamma",
+        [
+            # without the acceptance rule these returned values with residual > 4 tol
+            pytest.param(100.0, -1.05, id="100,-1.05"),
+            pytest.param(300.0, -1.05, id="300,-1.05"),
+            # ... and this one a value over tol and a duplicate
+            pytest.param(300.0, 1.02, id="300,1.02"),
+        ],
+    )
+    def test_stiff_windows_raise(self, scale, gamma):
+        # some of windows 0-4 of these hold 0 or 2 eigenvalues, not 1
+        xs = grid(1024)
+        q = Potential(scale * (np.cos(2 * PI * xs) + 0.5j * np.sin(3 * PI * xs)))
+        with pytest.raises(RootIsolationError):
+            compute_spectrum(q, FrozenConfig(a=0.25, gamma=gamma), 40)
+
+    @staticmethod
+    def _pair_case():
+        rng = np.random.default_rng(30)
+        q = trig_poly_potential(rng, 256, degree=3, scale=0.5)
+        return q, FrozenConfig(a=0.25, gamma=1.001)  # three pairs among the first 12
+
+    @pytest.mark.parametrize("fault", ["non-root", "outside-window"])
+    def test_pair_refine_output_is_checked(self, fault, monkeypatch):
+        q, cfg = self._pair_case()
+        refine = forward._quadratic_pair_refine
+        fired = []
+
+        def faulty(g, ri, rj, tol):
+            fired.append(1)
+            first, second = refine(g, ri, rj, tol)
+            # g is even in rho, so -second is a root too, but in no window near rj
+            return (first + 1e-3, second) if fault == "non-root" else (first, -second)
+
+        assert compute_spectrum(q, cfg, 12).values.shape == (12,)  # the true pairs pass
+        monkeypatch.setattr(forward, "_quadratic_pair_refine", faulty)
+        with pytest.raises(RootIsolationError):
+            compute_spectrum(q, cfg, 12)
+        assert fired
+
+    @pytest.mark.parametrize("gamma", [1.02, 1.0])
+    def test_lambda_branch_outside_window_raises(self, gamma, monkeypatch):
+        # |rho0| < 1/2 at n = 0 for both; Newton in lambda started from the reference
+        # of index 2 converges to a true root, but one outside window 0
+        rng = np.random.default_rng(31)
+        q = trig_poly_potential(rng, 256, degree=3, scale=0.5)
+        cfg = FrozenConfig(a=0.25, gamma=gamma)
+        newton = forward._newton
+        far = reference_lambda(2, compute_alpha(gamma))
+        branch = []
+
+        def misled(g, z0, tol, *args, **kwargs):
+            if isinstance(g, _SampledDelta):  # only the lambda branch iterates on Delta itself
+                branch.append(newton(g, far, tol))
+                return branch[-1]
+            return newton(g, z0, tol, *args, **kwargs)
+
+        compute_spectrum(q, cfg, 6)
+        monkeypatch.setattr(forward, "_newton", misled)
+        with pytest.raises(RootIsolationError) as err:
+            compute_spectrum(q, cfg, 6)
+        assert branch and branch[0][1]  # a converged root, refused for its window
+        assert err.value.index == 0
 
 
 class TestSpectrum:

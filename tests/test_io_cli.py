@@ -29,6 +29,7 @@ from frozenhill import cli
 from frozenhill.cli import main
 from frozenhill.core import reference_lambda
 from frozenhill.io import (
+    fmt_complex,
     read_operator,
     read_potential,
     read_spectrum,
@@ -36,6 +37,10 @@ from frozenhill.io import (
     write_potential,
     write_spectrum,
 )
+
+
+#: compute_alpha(2.0) as write_spectrum prints it, for hand-written gamma = 2 headers
+ALPHA_2 = "0,0.2206356001526516"
 
 
 @pytest.fixture
@@ -97,7 +102,7 @@ class TestSerialization:
 
     def test_bad_line_names_position(self, tmp_path):
         path = tmp_path / "bad.spec"
-        path.write_text("# spectrum gamma=2,0 alpha=0,0 m=2\n0 1.0 0.0\n1 oops 0.0\n")
+        path.write_text(f"# spectrum gamma=2,0 alpha={ALPHA_2} m=2\n0 1.0 0.0\n1 oops 0.0\n")
         with pytest.raises(FileFormatError) as err:
             read_spectrum(path)
         assert "line 3" in str(err.value)
@@ -247,7 +252,7 @@ class TestReaders:
         assert _same_bits(op.profile, np.array(expected))
 
     def _spectrum_text(self, rows):
-        return f"# spectrum gamma=2,0 alpha=0,0.25 m={len(rows)}\n" + "".join(
+        return f"# spectrum gamma=2,0 alpha={ALPHA_2} m={len(rows)}\n" + "".join(
             f"{r}\n" for r in rows
         )
 
@@ -329,6 +334,34 @@ class TestSpectrumProvenance:
         p0.write_text(p0.read_text().replace(" a=0.25", " a=quarter"))
         with pytest.raises(FileFormatError):
             read_spectrum(p0)
+
+    @pytest.mark.parametrize("gamma", [2.0, 0.5 + 0.5j, -1.05, 1.02, 1.0, -1.0])
+    def test_alpha_is_derived_from_gamma(self, tmp_path, gamma):
+        path = tmp_path / "s.spec"
+        spec = compute_spectrum(Potential.zeros(64), FrozenConfig(a=0.25, gamma=gamma), 6)
+        write_spectrum(path, spec)
+        assert read_spectrum(path).alpha == compute_alpha(gamma) == spec.alpha
+        # a header alpha within 1e-12 relative of gamma's loads, and gamma's alpha is kept
+        alpha = compute_alpha(gamma).alpha
+        near = complex(alpha.real + 1e-14, alpha.imag)
+        text = path.read_text()
+        path.write_text(text.replace(f"alpha={fmt_complex(alpha)}", f"alpha={fmt_complex(near)}"))
+        assert path.read_text() != text
+        assert read_spectrum(path).alpha == compute_alpha(gamma)
+
+    def test_alpha_contradicting_gamma_exit_2(self, runner, tmp_path):
+        rng = np.random.default_rng(61)
+        cfg = FrozenConfig(a=0.25, gamma=2.0)
+        q = potential_from_w_coeffs(flat_sine_coeffs(rng, degree=8), cfg, 256)
+        path = tmp_path / "s.spec"
+        write_spectrum(path, compute_spectrum(q, cfg, 20))
+        path.write_text(path.read_text().replace(f"alpha={ALPHA_2} ", "alpha=0.3,0 "))
+        with pytest.raises(FileFormatError, match="alpha=0.3,0 contradicts gamma"):
+            read_spectrum(path)
+        args = ["inverse1", "--in", str(path), "--kterms", "20", "--ntrunc", "20", "--grid", "256"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"whose alpha is {ALPHA_2}" in result.output
 
     @pytest.mark.parametrize("command", ["inverse1", "inverse2", "growthcheck",
                                          "isospectral", "isobispectral"])
