@@ -9,16 +9,12 @@ associated sine system.
 """
 
 from .core import (
-    AlphaParam,
-    AsymptoticResidues,
     FrozenConfig,
     Potential,
     Spectrum,
     compute_alpha,
     phi,
-    reference_rho,
     rel_l2_error,
-    unshift,
 )
 from .errors import (
     ConfigError,
@@ -40,14 +36,12 @@ from .forward import (
     verify_asymptotics,
 )
 from .inverse import (
-    GrowthReport,
     OperatorSpec,
     TwoSpectra,
     algorithm1,
     algorithm2,
     algorithm3,
     algorithm4,
-    check_degeneration,
     check_growth,
     delta_from_spectrum,
     isobispectral_family,
@@ -55,26 +49,22 @@ from .inverse import (
     reconstruct,
     recover_w,
 )
-from .basis import RieszReport, frame_bounds, gram_matrix, riesz_report
+from .basis import frame_bounds, gram_matrix, riesz_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaParam",
-    "AsymptoticResidues",
     "ConfigError",
     "DegenerateCaseError",
     "FileFormatError",
     "FrozenConfig",
     "FrozenHillError",
     "GrowthConditionError",
-    "GrowthReport",
     "InconsistentSpectrumError",
     "OperatorError",
     "OperatorSpec",
     "PoleInTailError",
     "Potential",
-    "RieszReport",
     "RootIsolationError",
     "SineSeries",
     "Spectrum",
@@ -84,7 +74,6 @@ __all__ = [
     "algorithm3",
     "algorithm4",
     "build_w",
-    "check_degeneration",
     "check_growth",
     "compute_alpha",
     "compute_spectrum",
@@ -98,9 +87,7 @@ __all__ = [
     "phi",
     "reconstruct",
     "recover_w",
-    "reference_rho",
     "rel_l2_error",
     "riesz_report",
-    "unshift",
     "verify_asymptotics",
 ]

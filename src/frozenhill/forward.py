@@ -11,8 +11,9 @@ On grid samples of w the integral form has one implementation, _SampledDelta,
 shared by eval_delta_fundrep and compute_spectrum (as the cofactor of Delta at
 gamma = +-1).  compute_spectrum runs one window loop for every gamma: an FFT
 check at every reference point, Newton in lambda near rho = 0, else Newton in
-rho.  Every value it returns has passed one rule, _accepted: a residual under
-tol, and a root within WINDOW_RADIUS of its reference point; else it raises.
+rho on the kernel's exact slope.  Every value it returns has passed one rule,
+_accepted: a residual under tol, and a root within WINDOW_RADIUS of its
+reference point; else it raises.
 """
 
 from __future__ import annotations
@@ -154,13 +155,15 @@ def build_w(q: Potential, config: FrozenConfig) -> Potential:
 
 
 @lru_cache(maxsize=64)
-def _simpson_grid(span: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes j/n for j = 0..span and their Simpson weights scaled by 1/n, read-only."""
+def _simpson_grid(span: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes j/n for j = 0..span, their Simpson weights scaled by 1/n and the
+    weights times the nodes, read-only."""
     xs = np.linspace(0.0, span / n, span + 1)
     wts = simpson_weights(span) / n
-    xs.setflags(write=False)
-    wts.setflags(write=False)
-    return xs, wts
+    wxs = wts * xs
+    for arr in (xs, wts, wxs):
+        arr.setflags(write=False)
+    return xs, wts, wxs
 
 
 @lru_cache(maxsize=64)
@@ -310,8 +313,9 @@ class _SampledDelta:
         self.gamma, self.factored, self.n = gamma, factored, w.n
         self.cosine = factored and gamma == 1
         span = w.n // 2 if factored else w.n
-        self.xs, self.wts = _simpson_grid(span, w.n)
+        self.xs, self.wts, self.wxs = _simpson_grid(span, w.n)
         self.samples = w.samples[span::-1] if factored else w.samples
+        self._last = None, None, None  # (lambda, rho, I) of the latest call, for slope
 
     def __call__(self, lam: complex) -> complex:
         rho = np.sqrt(complex(lam))
@@ -319,7 +323,32 @@ class _SampledDelta:
             part = -np.dot(self.wts, self.samples * np.cos(rho * self.xs))
         else:
             part = np.dot(self.wts, self.samples * phi(rho, self.xs))
+        self._last = lam, rho, part
         return self._value(lam, rho, part)
+
+    def slope(self, rho: complex) -> complex:
+        """Exact d/drho of the value at lambda = rho^2, reusing I of the latest
+        call when it was at that lambda.
+
+        With c_j = weight * sample and r = sqrt(rho^2), where the kernel runs:
+          Delta:       2 gamma sin r - (sum c_j x_j cos(r x_j) - I) / r;
+          gamma = +1:  2 sin(r/2) + r cos(r/2) + sum c_j x_j sin(r x_j);
+          gamma = -1:  -sin(r/2) + (sum c_j x_j cos(r x_j) - I) / r.
+        Each is odd in r, and r can be -rho, so the result takes that sign.
+        """
+        lam = rho * rho
+        if self._last[0] != lam:
+            self(lam)
+        _, r, part = self._last
+        if r == 0:
+            return 0j  # the value is even in rho
+        if self.cosine:
+            sums = np.dot(self.wxs, self.samples * np.sin(r * self.xs))
+            der = 2.0 * np.sin(r / 2.0) + r * np.cos(r / 2.0) + sums
+        else:
+            odd = (np.dot(self.wxs, self.samples * np.cos(r * self.xs)) - part) / r
+            der = odd - np.sin(r / 2.0) if self.factored else 2.0 * self.gamma * np.sin(r) - odd
+        return complex(der if (r * np.conj(rho)).real >= 0 else -der)
 
     def _value(self, lam: complex, rho: complex, part: complex) -> complex:
         if not self.factored:
@@ -348,21 +377,33 @@ class _SampledDelta:
         return abs(value) + bound + _ROUNDING_SLACK * tol < tol
 
 
+class _InRho:
+    """g(rho) = the value of a _SampledDelta at lambda = rho^2, with its exact slope."""
+
+    def __init__(self, delta: _SampledDelta):
+        self.delta, self.slope = delta, delta.slope
+
+    def __call__(self, rho: complex) -> complex:
+        return self.delta(rho * rho)
+
+
 def _slope(g, z: complex) -> complex:
     """Central-difference derivative of g at z."""
     h = 1e-6 * (1.0 + abs(z))
     return (g(z + h) - g(z - h)) / (2.0 * h)
 
 
-def _newton(g, z0: complex, tol: float, damping: float = 1.0, fence: float = math.inf):
+def _newton(g, z0: complex, tol: float, damping: float = 1.0, fence: float = math.inf,
+            slope=None):
     """Damped Newton from z0: the last iterate and whether |g| < tol there; an
-    iterate further than fence from z0 fails."""
+    iterate further than fence from z0 fails.  slope(z) is g' at the z where g
+    was just evaluated; without it, a central difference of g."""
     z = z0
     for _ in range(NEWTON_MAX_ITER):
         val = g(z)
         if abs(val) < tol:
             return z, True
-        der = _slope(g, z)
+        der = _slope(g, z) if slope is None else slope(z)
         if der == 0:
             return z, False
         z = z - damping * val / der
@@ -383,20 +424,22 @@ def _root_near(lam: complex, rho0: complex) -> complex:
 
 
 def _solve_window(g, rho0: complex, tol: float):
-    """Newton from rho0, then damped, then from the least |g| of a 17x17 scan of
-    the window: the first try that _accepted passes, else the last try."""
+    """Newton on g(rho), with g.slope its derivative, from rho0, then damped,
+    then from the least |g| of a 17x17 scan of the window: the first try that
+    _accepted passes, else the last try."""
     for damping in (1.0, 0.5):
-        rho, ok = _newton(g, rho0, tol, damping, fence=2.0 * PI)
+        rho, ok = _newton(g, rho0, tol, damping, fence=2.0 * PI, slope=g.slope)
         if _accepted(rho, ok, rho0):
             return rho, ok
     offs = np.linspace(-WINDOW_RADIUS, WINDOW_RADIUS, 17)
     cand_grid = rho0 + offs[:, None] + 1j * offs[None, :]
     seed = cand_grid.flat[np.argmin(np.abs([g(c) for c in cand_grid.flat]))]
-    return _newton(g, complex(seed), tol, fence=2.0 * PI)
+    return _newton(g, complex(seed), tol, fence=2.0 * PI, slope=g.slope)
 
 
 def _quadratic_pair_refine(g, rho0_i, rho0_j, tol):
-    """Resolve a nearly merged root pair from a local quadratic model of g."""
+    """Resolve a nearly merged root pair of g(rho), with g.slope its
+    derivative, from a local quadratic model of g."""
     centre = (rho0_i + rho0_j) / 2.0
     h = max(abs(rho0_i - rho0_j), 1e-3)
     fm, f0, fp = g(centre - h), g(centre), g(centre + h)
@@ -415,7 +458,7 @@ def _quadratic_pair_refine(g, rho0_i, rho0_j, tol):
             if abs(val) < tol:
                 polished.append(own)
                 continue
-            der = _slope(g, own)
+            der = g.slope(own)
             gap = own - other
             deflated = der - (val / gap if gap != 0 else 0.0)
             polished.append(own - val / deflated if deflated != 0 else own)
@@ -481,10 +524,7 @@ def compute_spectrum(q: Potential, config: FrozenConfig, m: int) -> Spectrum:
     gamma, alpha = config.gamma, compute_alpha(config.gamma)
     factored = gamma in (1, -1)
     delta = _SampledDelta(build_w(q, config), gamma, factored)
-
-    def g(rho: complex) -> complex:
-        return delta(rho * rho)
-
+    g = _InRho(delta)
     plus, minus, slack = _reference_sums(delta.wts * delta.samples, delta.n, alpha, m)
     # lambda at gamma = +-1; rho otherwise, squared once at the end
     out = np.empty(m, dtype=complex)

@@ -14,7 +14,8 @@ truncation depths used in the checks:
 
 import numpy as np
 
-from frozenhill import FrozenConfig, Potential, SineSeries, unshift
+from frozenhill import FrozenConfig, Potential, SineSeries
+from frozenhill.core import unshift
 
 
 def project_out_rows(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:

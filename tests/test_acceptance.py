@@ -38,12 +38,11 @@ from frozenhill import (
     isobispectral_family,
     isospectral_family,
     recover_w,
-    reference_rho,
     rel_l2_error,
     verify_asymptotics,
 )
 from frozenhill.basis import gram_matrix
-from frozenhill.core import reference_lambda
+from frozenhill.core import reference_lambda, reference_rho
 
 PI = np.pi
 

@@ -9,18 +9,18 @@ from frozenhill import (
     Potential,
     compute_alpha,
     phi,
-    reference_rho,
-    unshift,
 )
 from frozenhill.core import (
     SERIES_CUTOFF,
     delta0,
     reference_lambda,
     reference_lambda_array,
+    reference_rho,
     reflect_problem,
     shift_to_zero,
     simpson,
     simpson_weights,
+    unshift,
 )
 
 PI = np.pi

@@ -24,10 +24,15 @@ from frozenhill import (
     eval_delta_det,
     eval_delta_fundrep,
     phi,
-    reference_rho,
     verify_asymptotics,
 )
-from frozenhill.core import delta0, reference_lambda, shift_to_zero, simpson_weights
+from frozenhill.core import (
+    delta0,
+    reference_lambda,
+    reference_rho,
+    shift_to_zero,
+    simpson_weights,
+)
 from frozenhill import forward
 from frozenhill.forward import (
     PAIR_GAP,
@@ -269,12 +274,82 @@ class TestDeltaRoutes:
                 assert abs(d1 - d2) <= 1e-13 * (1 + abs(d1))
 
 
+class TestKernelSlope:
+    """Newton in rho takes its derivative from the kernel, not from a central difference."""
+
+    @pytest.mark.parametrize(
+        "gamma, factored", [(2.0, False), (0.5 + 0.5j, False), (1.0, True), (-1.0, True)]
+    )
+    def test_slope_is_the_derivative_of_the_simpson_sum(self, gamma, factored):
+        # the same weighted samples c_j, differentiated term by term in extended
+        # precision where the platform has it
+        rng = np.random.default_rng(40)
+        q = trig_poly_potential(rng, 1024, degree=5)
+        kernel = _SampledDelta(build_w(q, FrozenConfig(a=0.25, gamma=gamma)), gamma, factored)
+        c = (kernel.wts * kernel.samples).astype(np.clongdouble)
+        x = np.arange(len(c), dtype=np.longdouble) / kernel.n
+        for rho in (0.5, 0.5j, 3 + 0.2j, 2 - 9j, 40 - 7j, 0.7 + 14j, 123.4 + 13.5j, 150 - 14j, 200):
+            for z in (complex(rho), -complex(rho)):  # the kernel runs at sqrt(z^2) for both
+                zl = np.clongdouble(z)
+                if kernel.cosine:
+                    want = 2 * np.sin(zl / 2) + zl * np.cos(zl / 2) + np.sum(c * x * np.sin(zl * x))
+                else:
+                    # d/dz of sum c_j sin(z x_j) / z
+                    sums = np.sum(c * (x * np.cos(zl * x) / zl - np.sin(zl * x) / zl**2))
+                    want = sums - np.sin(zl / 2) if factored else 2 * gamma * np.sin(zl) - sums
+                grows = np.exp(abs(z.imag) * x)
+                scale = np.sum(np.abs(c) * (1 + x) * grows) + (1 + abs(gamma)) * grows[-1]
+                bound = 64 * 2.0**-53 * (1 + abs(z)) * scale
+                kernel(z * z)
+                got = kernel.slope(z)  # reuses the integral of the call just made
+                assert abs(np.clongdouble(got) - want) <= bound, (z, got)
+                # without that call, or after one at another lambda, the same bits
+                fresh = _SampledDelta(build_w(q, FrozenConfig(a=0.25, gamma=gamma)), gamma, factored)
+                assert fresh.slope(z) == got
+                kernel(1.0)
+                assert kernel.slope(z) == got
+        assert kernel.slope(0j) == 0  # the value is even in rho; a 17x17 scan can seed 0
+
+    def test_central_difference_only_in_lambda(self, monkeypatch):
+        # Newton in lambda near rho = 0 keeps the central difference of Delta itself;
+        # every step in rho, the pair polish's included, takes the kernel's slope
+        rng = np.random.default_rng(30)
+        q = trig_poly_potential(rng, 256, degree=3, scale=0.5)
+        differenced, refined = [], []
+        central, refine = forward._slope, forward._quadratic_pair_refine
+        monkeypatch.setattr(forward, "_slope", lambda g, z: differenced.append(g) or central(g, z))
+        monkeypatch.setattr(
+            forward, "_quadratic_pair_refine", lambda *args: refined.append(1) or refine(*args)
+        )
+        compute_spectrum(q, FrozenConfig(a=0.25, gamma=1.001), 12)
+        assert refined  # nearly merged pairs
+        assert differenced and all(isinstance(g, _SampledDelta) for g in differenced)
+
+    def test_newton_kernel_passes_per_window(self, monkeypatch):
+        # a value and a slope per Newton step; a central difference took three values
+        # (881 on this case, 4.41 per window)
+        xs = grid(1024)
+        q = Potential(np.sin(2 * PI * xs) + 0.3j * np.sin(PI * xs) ** 2)
+        passes = []
+        value, slope = _SampledDelta.__call__, _SampledDelta.slope
+        monkeypatch.setattr(
+            _SampledDelta, "__call__", lambda self, lam: passes.append(1) or value(self, lam)
+        )
+        monkeypatch.setattr(
+            _SampledDelta, "slope", lambda self, rho: passes.append(1) or slope(self, rho)
+        )
+        m = 200
+        compute_spectrum(q, FrozenConfig(a=0.25, gamma=2.0), m)
+        assert len(passes) <= 3.3 * m
+
+
 def degenerate_reference(q, cfg, m):
     """gamma = +-1 eigenvalues solved window by window, Newton from every reference point."""
     w = build_w(q, cfg)
     alpha = compute_alpha(cfg.gamma)
     half = w.n // 2  # w(1/2 - x) on the half grid x in [0, 1/2]
     xs, wts = np.linspace(0.0, 0.5, half + 1), simpson_weights(half) / w.n
+    wxs = wts * xs
     v = w.samples[half::-1]
 
     def inner_lam(lam):
@@ -282,6 +357,21 @@ def degenerate_reference(q, cfg, m):
         if cfg.gamma == 1:
             return complex(2.0 * rho * np.sin(rho / 2.0) - np.dot(wts, v * np.cos(rho * xs)))
         return complex(2.0 * np.cos(rho / 2.0) + np.dot(wts, v * phi(rho, xs)))
+
+    def g(rho):
+        return inner_lam(rho * rho)
+
+    def slope(rho):
+        # the exact rho-derivative at the kernel's point r = sqrt(rho^2); odd in r
+        r = np.sqrt(complex(rho * rho))
+        if cfg.gamma == 1:
+            der = 2.0 * np.sin(r / 2.0) + r * np.cos(r / 2.0) + np.dot(wxs, v * np.sin(r * xs))
+        else:
+            odd = (np.dot(wxs, v * np.cos(r * xs)) - np.dot(wts, v * phi(r, xs))) / r
+            der = odd - np.sin(r / 2.0)
+        return complex(der if (r * np.conj(rho)).real >= 0 else -der)
+
+    g.slope = slope
 
     lams = np.empty(m, dtype=complex)
     for idx in range(m):
@@ -293,7 +383,7 @@ def degenerate_reference(q, cfg, m):
             lams[idx], ok = _newton(inner_lam, rho0 * rho0, tol)
             assert ok
         else:
-            rho, ok = _solve_window(lambda r: inner_lam(r * r), rho0, tol)
+            rho, ok = _solve_window(g, rho0, tol)
             assert _accepted(rho, ok, rho0)
             lams[idx] = rho * rho
     return lams
@@ -310,6 +400,7 @@ def generic_reference(q, cfg, m):
     gamma = cfg.gamma
     alpha = compute_alpha(gamma)
     xs, wts = w.grid(), simpson_weights(w.n) / w.n
+    wxs = wts * xs
 
     def dfun(lam):
         rho = np.sqrt(complex(lam))
@@ -319,6 +410,15 @@ def generic_reference(q, cfg, m):
 
     def g(rho):
         return dfun(rho * rho)
+
+    def slope(rho):
+        # the exact rho-derivative at the kernel's point r = sqrt(rho^2); odd in r
+        r = np.sqrt(complex(rho * rho))
+        odd = (np.dot(wxs, w.samples * np.cos(r * xs)) - np.dot(wts, w.samples * phi(r, xs))) / r
+        der = 2.0 * gamma * np.sin(r) - odd
+        return complex(der if (r * np.conj(rho)).real >= 0 else -der)
+
+    g.slope = slope
 
     tol = 1e-11 * (1.0 + (1.0 + abs(gamma)) ** 2)
     rhos = np.empty(m, dtype=complex)

@@ -14,7 +14,6 @@ from conftest import (
     window_flat_potential,
 )
 from frozenhill import (
-    AlphaParam,
     ConfigError,
     DegenerateCaseError,
     FrozenConfig,
@@ -31,7 +30,6 @@ from frozenhill import (
     algorithm3,
     algorithm4,
     build_w,
-    check_degeneration,
     check_growth,
     compute_alpha,
     compute_spectrum,
@@ -44,8 +42,15 @@ from frozenhill import (
     recover_w,
     rel_l2_error,
 )
-from frozenhill.core import delta0, delta0_d1, delta0_d2, reference_lambda, reference_lambda_array
-from frozenhill.inverse import _BLOCK, _delta_and_delta0
+from frozenhill.core import (
+    AlphaParam,
+    delta0,
+    delta0_d1,
+    delta0_d2,
+    reference_lambda,
+    reference_lambda_array,
+)
+from frozenhill.inverse import _BLOCK, _delta_and_delta0, check_degeneration
 
 PI = np.pi
 
