@@ -192,6 +192,9 @@ def delta_from_spectrum(
     lam is a scalar (a complex comes back) or a 1-D array of K points (an
     array of K values comes back); the ratios are formed _BLOCK points at a
     time, and each value is bit-identical to the call with that point alone.
+    A point without a collision skips the factors of eigenvalues stored
+    exactly at their reference: each is exactly 1 + 0j, which changes no
+    finite product with nonzero parts (other products take every factor).
     """
     return _delta_and_delta0(spec, lam, n_trunc)[0]
 
@@ -219,25 +222,17 @@ def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
     pole_factors = lams[cols] - pts[rows]
     z_mult = np.bincount(rows, minlength=len(pts))
     poles = np.bincount(rows[np.abs(pole_factors) > tol[rows]], minlength=len(pts))
-    # eigenvalues stored exactly at their reference make the factor 1
-    # identically; complex z/z would leave ~1 ulp of imaginary residue
-    exact_at = np.arange(_BLOCK)[:, None] * n_trunc + np.flatnonzero(lams == refs)
-    prods = np.empty(len(pts), dtype=complex)
-    diff_buf, ratio_buf = np.empty((2, _BLOCK, n_trunc), dtype=complex)
-    for lo in range(0, len(pts), _BLOCK):
-        hi = min(lo + _BLOCK, len(pts))
-        col = pts[lo:hi, None]
-        diff = np.subtract(refs, col, out=diff_buf[: hi - lo])
-        ratios = np.subtract(lams, col, out=ratio_buf[: hi - lo])
-        with np.errstate(divide="ignore", invalid="ignore"):  # overwritten below
-            np.divide(ratios, diff, out=ratios)
-        # colliding entries keep the pole factor, paired against a Delta0 zero
-        first, last = np.searchsorted(rows, (lo, hi))
-        ratios[rows[first:last] - lo, cols[first:last]] = pole_factors[first:last]
-        ratio_buf.reshape(-1)[exact_at[np.flatnonzero(z_mult[lo:hi] == 0)]] = 1.0
-        # a row-wise product is sequential, so each value matches the
-        # scalar product of that point alone, whatever the block height
-        np.prod(ratios, axis=1, out=prods[lo:hi])
+    # rows free of collisions and of all-real factors skip the factor 1 + 0j of
+    # an eigenvalue at its reference, and fold again where that may move a bit
+    moved, lone = lams != refs, z_mult == 0  # a NaN eigenvalue counts as moved
+    lm, rm = lams[moved], refs[moved]
+    skip = lone & (np.any(lm.imag) or np.any(rm.imag) or pts.imag != 0)
+    bufs = np.empty((2, _BLOCK * n_trunc), dtype=complex)
+    prods = np.zeros(len(pts), dtype=complex)
+    _fold(prods, pts, np.flatnonzero(skip), lm, rm, bufs)
+    skip &= np.isfinite(prods) & (prods.real != 0) & (prods.imag != 0)
+    _fold(prods, pts, np.flatnonzero(lone & ~skip), lams, refs, bufs, ones=~moved)
+    _fold(prods, pts, np.flatnonzero(~lone), lams, refs, bufs, (rows, cols, pole_factors))
     zero = poles < z_mult  # an uncancelled zero of Delta0 survives
 
     # A collision beyond the truncation is fatal unless a degenerate head
@@ -276,6 +271,29 @@ def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
     if scalar:
         return complex(out[0]), complex(free[0])
     return out, free
+
+
+def _fold(prods, pts, idx, lams, refs, bufs, hits=None, ones=None):
+    """prods[idx] = prod (lams - lam)/(refs - lam) at lam = pts[idx], _BLOCK rows at a time.
+
+    Row-wise products are sequential: each is the scalar product of its point
+    alone.  hits = (rows, cols, factors), ordered by row, replace their ratios,
+    and the columns ones get exactly 1, where complex z/z could be 1 ulp off.
+    """
+    for lo in range(0, len(idx), _BLOCK):
+        blk = idx[lo : lo + _BLOCK]
+        diff, ratios = (b[: len(blk) * len(lams)].reshape(len(blk), len(lams)) for b in bufs)
+        np.subtract(refs, pts[blk, None], out=diff)
+        np.subtract(lams, pts[blk, None], out=ratios)
+        with np.errstate(divide="ignore", invalid="ignore"):  # poles are overwritten below
+            np.divide(ratios, diff, out=ratios)
+        if hits is not None:
+            rows, cols, factors = hits
+            at = slice(*np.searchsorted(rows, (blk[0], blk[-1] + 1)))
+            ratios[np.searchsorted(blk, rows[at]), cols[at]] = factors[at]
+        if ones is not None:
+            ratios[:, ones] = 1.0
+        prods[blk] = np.prod(ratios, axis=1)
 
 
 def _collisions(refs, pts, mag, tol):

@@ -50,7 +50,7 @@ from frozenhill.core import (
     reference_lambda,
     reference_lambda_array,
 )
-from frozenhill.inverse import _BLOCK, _delta_and_delta0, check_degeneration
+from frozenhill.inverse import _BLOCK, _delta_and_delta0, _support_report, check_degeneration
 
 PI = np.pi
 
@@ -101,6 +101,20 @@ def delta_pointwise(spec, lam, n_trunc):
 ARRAY_GAMMAS = (2.0, complex(np.exp(1j * PI / 4)), 0.5 + 0.5j, 1.0, -1.0)
 
 
+def same_bits(got, want):
+    """Equal bit for bit, so NaN payloads and the signs of zeros count too."""
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def moved_spectrum(gamma, m, values):
+    """reference_spectrum with the eigenvalues at the keys of values replaced."""
+    spec = reference_spectrum(gamma, m)
+    moved = spec.values.copy()
+    moved[list(values)] = list(values.values())
+    return Spectrum(values=moved, config=spec.config, alpha=spec.alpha)
+
+
 class TestDeltaFromSpectrum:
     @pytest.mark.parametrize("gamma", ARRAY_GAMMAS)
     def test_array_form_matches_pointwise(self, gamma):
@@ -112,26 +126,54 @@ class TestDeltaFromSpectrum:
         lams = np.array([(PI * k) ** 2 for k in range(1, 121)] + [0.0, -5.0, 30 + 11j])
         batch = delta_from_spectrum(spec, lams, 120)
         assert batch.shape == lams.shape
-        assert np.array_equal(batch, [delta_from_spectrum(spec, lam, 120) for lam in lams])
-        assert np.array_equal(batch, [delta_pointwise(spec, lam, 120) for lam in lams])
+        assert same_bits(batch, [delta_from_spectrum(spec, lam, 120) for lam in lams])
+        assert same_bits(batch, [delta_pointwise(spec, lam, 120) for lam in lams])
+
+        # Reference zeros with a few, none and a single eigenvalue moved, off
+        # the real axis or along it, so that the product skips the columns
+        # left in place, or keeps them all where every factor is real; at
+        # gamma = +-1 the even- or odd-k points collide and keep every column.
+        # The points include an eigenvalue itself (an exact zero factor) and,
+        # at gamma = +-1, points between moved eigenvalues and their references.
+        refs = reference_spectrum(gamma, 48).values
+        for shift in (0.5 + 0.25j, -30.0):
+            for moved in ((3, 17, 40, 41), (), (7,)):
+                spec = moved_spectrum(gamma, 48, {n: refs[n] + shift for n in moved})
+                extra = [spec.values[n] for n in moved[:1]] + [refs[1] - 10.0, refs[3] - 20.0]
+                for count in (1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+                    lams = np.array([(PI * k) ** 2 for k in range(1, count + 1)], dtype=complex)
+                    lams[1::5] += 11j
+                    lams[-len(extra) :] = extra[:count]
+                    batch = delta_from_spectrum(spec, lams, 48)
+                    assert same_bits(batch, [delta_from_spectrum(spec, x, 48) for x in lams])
+                    assert same_bits(batch, [delta_pointwise(spec, x, 48) for x in lams])
 
     @pytest.mark.parametrize("gamma", [2.0, 0.5 + 0.5j, complex(np.exp(1j * PI / 4))])
     def test_nonfinite_factors_match_pointwise(self, gamma):
         # NaN and inf eigenvalues, and far points whose Delta0 overflows: the
-        # array multiply of Delta0 by the product keeps the scalar's bits
+        # array multiply of Delta0 by the product keeps the scalar's bits.
+        # Only the non-finite eigenvalues, a single one, or those among moved
+        # finite ones leave their reference, at 1, 16, 17, 33 and 100 points.
         spec = reference_spectrum(gamma, 60)
-        values = spec.values.copy()
-        values[[3, 17, 40]] = [complex(np.nan, 1.0), np.inf, complex(1.0, np.nan)]
-        broken = Spectrum(values=values, config=spec.config, alpha=spec.alpha)
+        nan, inf, nan_im = complex(np.nan, 1.0), complex(np.inf, 0.0), complex(1.0, np.nan)
+        shifted = {n: spec.values[n] * (1 + 1e-3j) for n in (5, 29, 52)}
         lams = np.concatenate(
             [[(PI * k) ** 2 for k in range(1, 61)], -np.logspace(2, 8, 20), 1j * np.logspace(2, 8, 20)]
         )
         with np.errstate(all="ignore"):
-            for s in (spec, broken):
-                got = delta_from_spectrum(s, lams, 60)
-                want = np.array([delta_pointwise(s, lam, 60) for lam in lams])
-                assert not np.all(np.isfinite(got))
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for s in (
+                spec,
+                moved_spectrum(gamma, 60, {3: nan, 17: inf, 40: nan_im}),
+                moved_spectrum(gamma, 60, {17: inf}),
+                moved_spectrum(gamma, 60, {**shifted, 40: nan_im}),
+            ):
+                for count in (1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, len(lams)):
+                    pts = lams[-count:]
+                    got = delta_from_spectrum(s, pts, 60)
+                    want = np.array([delta_pointwise(s, lam, 60) for lam in pts])
+                    assert not np.all(np.isfinite(got))
+                    assert same_bits(got, want)
+                    assert same_bits(got, [delta_from_spectrum(s, lam, 60) for lam in pts])
 
     def test_pole_in_tail_same_in_both_forms(self):
         spec = reference_spectrum(2.0, 40)
@@ -518,6 +560,21 @@ class TestAlgorithm2:
         with pytest.raises(OperatorError):
             algorithm2(spec, spec.config, k_op, 40, 40, grid_n=256)
 
+    @pytest.mark.parametrize("gamma", (1.0, -1.0))
+    def test_singular_tolerance_boundary(self, gamma):
+        # I + gamma K is singular once |1 + gamma c| (or the smallest singular
+        # value of I + gamma K) is at most 1e-10, and invertible just above it
+        m = 9
+        for gap, singular in ((5e-11, True), (2e-10, False)):
+            c = (gap - 1.0) / gamma
+            matrix = np.diag(np.r_[c, np.zeros(m - 1)])
+            for k_op in (OperatorSpec.scalar(c, 0.5), OperatorSpec.matrix(matrix, 0.5)):
+                if singular:
+                    with pytest.raises(OperatorError):
+                        k_op.ensure_invertible(gamma, m)
+                else:
+                    k_op.ensure_invertible(gamma, m)
+
     def test_violated_degeneration_rejected(self):
         spec = reference_spectrum(1.0, 40)
         values = spec.values.copy()
@@ -601,6 +658,18 @@ class TestGrowthCheck:
         report = check_growth(broken, 120, grid_n=1000)
         assert not report.passed
         assert report.max_violation > 1e-2
+
+    @pytest.mark.parametrize("scale", (0.5, 1.0, 40.0))
+    def test_support_tolerance_boundary(self, scale):
+        # the window may hold up to 1e-6 max(1, scale), and no more
+        limit = 1e-6 * max(1.0, scale)
+        for viol, passed in ((0.9 * limit, True), (1.1 * limit, False)):
+            wsum = np.zeros(65, dtype=complex)
+            wsum[3] = scale
+            wsum[50] = viol * 1j
+            report = _support_report(wsum, 40)
+            assert (report.max_violation, report.scale) == (viol, scale)
+            assert report.passed is passed
 
     def test_endpoint_window_trivially_passes(self):
         two = TwoSpectra(

@@ -320,6 +320,10 @@ class TestSpectrumProvenance:
         assert read_spectrum(p0, a=0.75).config.a == 0.75
         with pytest.raises(ConfigError, match="computed at a=0.25"):
             read_spectrum(p0, a=0.5)
+        # a caller's a may differ from the header's by at most 1e-12
+        assert read_spectrum(p0, a=0.25 + 1e-13).config.a == 0.25 + 1e-13
+        with pytest.raises(ConfigError, match="computed at a=0.25"):
+            read_spectrum(p0, a=0.25 + 1e-11)
 
     def test_files_without_a_take_the_callers(self, tmp_path):
         p0, _ = self._spectra(tmp_path)
@@ -348,6 +352,11 @@ class TestSpectrumProvenance:
         path.write_text(text.replace(f"alpha={fmt_complex(alpha)}", f"alpha={fmt_complex(near)}"))
         assert path.read_text() != text
         assert read_spectrum(path).alpha == compute_alpha(gamma)
+        # one 1e-10 relative off contradicts gamma
+        far = complex(alpha.real + 1e-10 * (1.0 + abs(alpha)), alpha.imag)
+        path.write_text(text.replace(f"alpha={fmt_complex(alpha)}", f"alpha={fmt_complex(far)}"))
+        with pytest.raises(FileFormatError, match="contradicts gamma"):
+            read_spectrum(path)
 
     def test_alpha_contradicting_gamma_exit_2(self, runner, tmp_path):
         rng = np.random.default_rng(61)
