@@ -393,9 +393,8 @@ def _slope(g, z: complex) -> complex:
     return (g(z + h) - g(z - h)) / (2.0 * h)
 
 
-def _newton(g, z0: complex, tol: float, damping: float = 1.0, fence: float = math.inf,
-            slope=None):
-    """Damped Newton from z0: the last iterate and whether |g| < tol there; an
+def _newton(g, z0: complex, tol: float, fence: float = math.inf, slope=None):
+    """Newton from z0: the last iterate and whether |g| < tol there; an
     iterate further than fence from z0 fails.  slope(z) is g' at the z where g
     was just evaluated; without it, a central difference of g."""
     z = z0
@@ -406,7 +405,7 @@ def _newton(g, z0: complex, tol: float, damping: float = 1.0, fence: float = mat
         der = _slope(g, z) if slope is None else slope(z)
         if der == 0:
             return z, False
-        z = z - damping * val / der
+        z = z - val / der
         if abs(z - z0) > fence:
             return z, False
     return z, abs(g(z)) < tol
@@ -424,13 +423,12 @@ def _root_near(lam: complex, rho0: complex) -> complex:
 
 
 def _solve_window(g, rho0: complex, tol: float):
-    """Newton on g(rho), with g.slope its derivative, from rho0, then damped,
-    then from the least |g| of a 17x17 scan of the window: the first try that
-    _accepted passes, else the last try."""
-    for damping in (1.0, 0.5):
-        rho, ok = _newton(g, rho0, tol, damping, fence=2.0 * PI, slope=g.slope)
-        if _accepted(rho, ok, rho0):
-            return rho, ok
+    """Newton on g(rho), with g.slope its derivative, from rho0, then from the
+    least |g| of a 17x17 scan of the window: the first try that _accepted
+    passes, else the last try."""
+    rho, ok = _newton(g, rho0, tol, fence=2.0 * PI, slope=g.slope)
+    if _accepted(rho, ok, rho0):
+        return rho, ok
     offs = np.linspace(-WINDOW_RADIUS, WINDOW_RADIUS, 17)
     cand_grid = rho0 + offs[:, None] + 1j * offs[None, :]
     seed = cand_grid.flat[np.argmin(np.abs([g(c) for c in cand_grid.flat]))]

@@ -179,10 +179,10 @@ def delta_from_spectrum(
 
     Delta0(lambda) * prod_{n < n_trunc} (lambda_n - lambda)/(lambda_n^0 - lambda);
     omitted tail factors are exactly 1 in the limit, so truncation cannot
-    drift the overall constant.  Evaluation points that collide with a
-    reference zero are handled analytically: a matching degenerate eigenvalue
-    turns its factor into 1, otherwise the pole is cancelled against the zero
-    of Delta0 of the corresponding multiplicity.
+    drift the overall constant.  An eigenvalue stored exactly at its reference
+    is a factor 1 and drops out at every point.  At a point that collides with
+    the reference of a moved eigenvalue, the pole is cancelled against the
+    zero of Delta0 of the corresponding multiplicity.
 
     Collision rule: a point within 1e-8 (1 + |lambda|) of lambda_p^0 whose
     eigenvalue lambda_p also lies within that tolerance returns exactly 0,
@@ -192,9 +192,6 @@ def delta_from_spectrum(
     lam is a scalar (a complex comes back) or a 1-D array of K points (an
     array of K values comes back); the ratios are formed _BLOCK points at a
     time, and each value is bit-identical to the call with that point alone.
-    A point without a collision skips the factors of eigenvalues stored
-    exactly at their reference: each is exactly 1 + 0j, which changes no
-    finite product with nonzero parts (other products take every factor).
     """
     return _delta_and_delta0(spec, lam, n_trunc)[0]
 
@@ -222,18 +219,15 @@ def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
     pole_factors = lams[cols] - pts[rows]
     z_mult = np.bincount(rows, minlength=len(pts))
     poles = np.bincount(rows[np.abs(pole_factors) > tol[rows]], minlength=len(pts))
-    # rows free of collisions and of all-real factors skip the factor 1 + 0j of
-    # an eigenvalue at its reference, and fold again where that may move a bit
-    moved, lone = lams != refs, z_mult == 0  # a NaN eigenvalue counts as moved
-    lm, rm = lams[moved], refs[moved]
-    skip = lone & (np.any(lm.imag) or np.any(rm.imag) or pts.imag != 0)
+    zero = poles < z_mult  # an uncancelled zero of Delta0 survives
+    # the product of the other rows runs over the moved eigenvalues (a NaN one
+    # counts as moved); an unmoved colliding one would have made its row a zero
+    moved = lams != refs
+    live, moved_col = ~zero[rows], np.cumsum(moved) - 1
     bufs = np.empty((2, _BLOCK * n_trunc), dtype=complex)
     prods = np.zeros(len(pts), dtype=complex)
-    _fold(prods, pts, np.flatnonzero(skip), lm, rm, bufs)
-    skip &= np.isfinite(prods) & (prods.real != 0) & (prods.imag != 0)
-    _fold(prods, pts, np.flatnonzero(lone & ~skip), lams, refs, bufs, ones=~moved)
-    _fold(prods, pts, np.flatnonzero(~lone), lams, refs, bufs, (rows, cols, pole_factors))
-    zero = poles < z_mult  # an uncancelled zero of Delta0 survives
+    _fold(prods, pts, np.flatnonzero(~zero), lams[moved], refs[moved], bufs,
+          (rows[live], moved_col[cols[live]], pole_factors[live]))
 
     # A collision beyond the truncation is fatal unless a degenerate head
     # collision already pins the value to zero (then extra reference zeros
@@ -273,13 +267,14 @@ def _delta_and_delta0(spec: Spectrum, lam, n_trunc: int):
     return out, free
 
 
-def _fold(prods, pts, idx, lams, refs, bufs, hits=None, ones=None):
+def _fold(prods, pts, idx, lams, refs, bufs, hits):
     """prods[idx] = prod (lams - lam)/(refs - lam) at lam = pts[idx], _BLOCK rows at a time.
 
     Row-wise products are sequential: each is the scalar product of its point
-    alone.  hits = (rows, cols, factors), ordered by row, replace their ratios,
-    and the columns ones get exactly 1, where complex z/z could be 1 ulp off.
+    alone.  hits = (rows, cols, factors), ordered by row and with rows in idx,
+    replace their ratios.
     """
+    rows, cols, factors = hits
     for lo in range(0, len(idx), _BLOCK):
         blk = idx[lo : lo + _BLOCK]
         diff, ratios = (b[: len(blk) * len(lams)].reshape(len(blk), len(lams)) for b in bufs)
@@ -287,12 +282,8 @@ def _fold(prods, pts, idx, lams, refs, bufs, hits=None, ones=None):
         np.subtract(lams, pts[blk, None], out=ratios)
         with np.errstate(divide="ignore", invalid="ignore"):  # poles are overwritten below
             np.divide(ratios, diff, out=ratios)
-        if hits is not None:
-            rows, cols, factors = hits
-            at = slice(*np.searchsorted(rows, (blk[0], blk[-1] + 1)))
-            ratios[np.searchsorted(blk, rows[at]), cols[at]] = factors[at]
-        if ones is not None:
-            ratios[:, ones] = 1.0
+        at = slice(*np.searchsorted(rows, (blk[0], blk[-1] + 1)))
+        ratios[np.searchsorted(blk, rows[at]), cols[at]] = factors[at]
         prods[blk] = np.prod(ratios, axis=1)
 
 

@@ -20,6 +20,7 @@ from frozenhill.core import (
     shift_to_zero,
     simpson,
     simpson_weights,
+    snap_index,
     unshift,
 )
 
@@ -163,6 +164,14 @@ class TestConfig:
         cfg = FrozenConfig(a=1 / 3, gamma=2.0)
         with pytest.raises(ConfigError):
             cfg.snap(16)
+
+    @pytest.mark.parametrize("n", (16, 1024))
+    def test_snap_tolerance_boundary(self, n):
+        # a misalignment of 0.9e-9 max(1, n) grid steps snaps, one of 1.1e-9 max(1, n) does not
+        k = n // 4
+        assert snap_index((k + 0.9e-9 * n) / n, n) == k
+        with pytest.raises(ConfigError):
+            snap_index((k + 1.1e-9 * n) / n, n)
 
     def test_potential_grid_invariants(self):
         with pytest.raises(ConfigError):

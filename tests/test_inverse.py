@@ -36,6 +36,7 @@ from frozenhill import (
     delta_from_spectrum,
     eval_delta_det,
     eval_delta_fundrep,
+    inverse,
     isobispectral_family,
     isospectral_family,
     reconstruct,
@@ -83,16 +84,17 @@ def delta_pointwise(spec, lam, n_trunc):
             if z_mult - poles >= 1:
                 return 0j
             raise PoleInTailError(n)
-    gamma = spec.config.gamma
-    if z_mult == 0:
-        ratios = np.where(lams == refs, 1.0 + 0.0j, (lams - lam) / diff)
-        return complex(delta0(lam, gamma) * np.prod(ratios))
     if poles < z_mult:
         return 0j
-    value = 1.0 + 0.0j
-    for n in range(n_trunc):
-        value *= (lams[n] - lam) if colliding[n] else (lams[n] - lam) / diff[n]
-    limit = -delta0_d1(lam, gamma) if poles == 1 else delta0_d2(lam, gamma)
+    # one rule: the moved eigenvalues' ratios, the bare numerator where lam collides
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(colliding, lams - lam, (lams - lam) / diff)
+    value = np.prod(ratios[lams != refs])
+    gamma = spec.config.gamma
+    if z_mult == 0:
+        limit = delta0(lam, gamma)
+    else:
+        limit = -delta0_d1(lam, gamma) if poles == 1 else delta0_d2(lam, gamma)
     return complex(limit * value)
 
 
@@ -130,9 +132,9 @@ class TestDeltaFromSpectrum:
         assert same_bits(batch, [delta_pointwise(spec, lam, 120) for lam in lams])
 
         # Reference zeros with a few, none and a single eigenvalue moved, off
-        # the real axis or along it, so that the product skips the columns
-        # left in place, or keeps them all where every factor is real; at
-        # gamma = +-1 the even- or odd-k points collide and keep every column.
+        # the real axis or along it; the product skips the columns left in
+        # place, also where every factor is real, and at gamma = +-1 the
+        # even- or odd-k points collide with a moved eigenvalue or are zeros.
         # The points include an eigenvalue itself (an exact zero factor) and,
         # at gamma = +-1, points between moved eigenvalues and their references.
         refs = reference_spectrum(gamma, 48).values
@@ -322,6 +324,32 @@ class TestBlockedProduct:
         with pytest.raises(PoleInTailError) as scalar:
             delta_pointwise(spec, pole, 20)
         assert batch.value.index == single.value.index == scalar.value.index == 30
+
+    @pytest.mark.parametrize("gamma", (1.0, -1.0))
+    def test_folds_live_points_over_moved_eigenvalues(self, block_spectra, gamma, monkeypatch):
+        # at recover_w's points (pi k)^2 every other k meets a double reference
+        # zero whose kept eigenvalue pins Delta to 0; that point is not folded,
+        # and no point takes the factor 1 of an eigenvalue at its reference
+        spec = block_spectra[gamma]
+        folded, fold = [], inverse._fold
+
+        def spy(prods, pts, idx, lams, *args, **kwargs):
+            folded.append((idx.copy(), len(lams)))
+            fold(prods, pts, idx, lams, *args, **kwargs)
+
+        monkeypatch.setattr(inverse, "_fold", spy)
+        recover_w(spec, 40, 40)
+        pts = np.array([(PI * k) ** 2 for k in range(1, 41)])
+        refs, lams = reference_lambda_array(40, spec.alpha), spec.values
+        tol = 1e-8 * (1.0 + pts[:, None])
+        colliding = np.abs(refs - pts[:, None]) <= tol
+        poles = colliding & (np.abs(lams - pts[:, None]) > tol)
+        zero = poles.sum(axis=1) < colliding.sum(axis=1)
+        moved = np.count_nonzero(lams != refs)
+        assert np.count_nonzero(zero) == 20 and 0 < moved < 40
+        rows = np.concatenate([idx for idx, _ in folded])
+        assert np.array_equal(np.sort(rows), np.flatnonzero(~zero))
+        assert all(columns == moved for _, columns in folded)
 
     def test_recover_w_allocates_no_k_by_n_array(self):
         # one K x NT complex array at K = 400, NT = 800 alone is 5.1 MB
