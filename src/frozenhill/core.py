@@ -184,17 +184,24 @@ def reference_lambda(n: int, alpha) -> complex:
     return r * r
 
 
-def reference_lambda_array(count: int, alpha) -> np.ndarray:
-    """reference_lambda for n < count, bit-identical: the square is taken in
-    real arithmetic as Python's complex multiply rounds it (numpy's may not)."""
+def reference_rho_array(count: int, alpha) -> np.ndarray:
+    """reference_rho for n < count, bit-identical: (n + al)*PI and
+    (n + 1 - al)*PI as Python's complex-times-float multiply rounds them."""
     al = _alpha_value(alpha)
     n = np.arange(count)
     even = n % 2 == 0
-    # (n + al)*PI and (n + 1 - al)*PI as Python computes them
     re = np.where(even, n + al.real, (n + 1) - al.real)
     im = np.where(even, 0.0 + al.imag, 0.0 - al.imag)
-    x, y = re * PI - im * 0.0, re * 0.0 + im * PI
     out = np.empty(count, dtype=complex)
+    out.real, out.imag = re * PI - im * 0.0, re * 0.0 + im * PI
+    return out
+
+
+def reference_lambda_array(count: int, alpha) -> np.ndarray:
+    """reference_lambda for n < count, bit-identical: the square is taken in
+    real arithmetic as Python's complex multiply rounds it (numpy's may not)."""
+    out = reference_rho_array(count, alpha)
+    x, y = out.real, out.imag
     out.real, out.imag = x * x - y * y, x * y + y * x
     return out
 

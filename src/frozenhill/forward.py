@@ -35,7 +35,9 @@ from .core import (
     compute_alpha,
     delta0,
     phi,
+    reference_lambda_array,
     reference_rho,
+    reference_rho_array,
     reflect_problem,
     simpson_weights,
     sinc_entire,
@@ -564,14 +566,14 @@ def compute_spectrum(q: Potential, config: FrozenConfig, m: int) -> Spectrum:
 
 def verify_asymptotics(spec: Spectrum) -> AsymptoticResidues:
     """Residuals against the reference sequence plus an l2-tail diagnostic."""
-    alpha = spec.alpha
-    m = len(spec)
-    kappa = np.empty(m, dtype=complex)
-    eps = np.empty(m, dtype=complex)
-    for idx, lam in enumerate(spec.values):
-        rho0 = reference_rho(idx, alpha)
-        kappa[idx] = lam - rho0 * rho0
-        eps[idx] = _root_near(lam, rho0) - rho0
+    m, lams = len(spec), spec.values
+    rho0 = reference_rho_array(m, spec.alpha)
+    kappa = lams - reference_lambda_array(m, spec.alpha)
+    root = np.sqrt(lams)
+    minus, plus = root - rho0, root + rho0
+    # _root_near per index: np.hypot rounds as abs() of a complex does, np.abs may not
+    eps = np.where(np.hypot(minus.real, minus.imag) <= np.hypot(plus.real, plus.imag), root, -root)
+    eps -= rho0
     quarter = max(1, m // 4)
     first = float(np.sum(np.abs(kappa[:quarter]) ** 2))
     last = float(np.sum(np.abs(kappa[m - quarter :]) ** 2))

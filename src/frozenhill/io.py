@@ -8,8 +8,8 @@ go into the files, so identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
+import warnings
 from functools import lru_cache
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,9 @@ from .inverse import OperatorSpec
 
 #: largest gap between a caller's frozen point and a spectrum file's that still matches
 _A_MATCH_TOL = 1e-12
+
+#: largest gap between a potential file's x column and its grid j/n
+_X_MATCH_TOL = 1e-12
 
 #: largest relative gap between a spectrum header's alpha and the one its gamma gives
 _ALPHA_MATCH_RTOL = 1e-12
@@ -52,43 +55,44 @@ def parse_complex(text: str, where: str = "value") -> complex:
     raise FileFormatError(f"cannot parse complex {where} from {text!r}")
 
 
-def _complex_rows(path, body, first_line: int, usage: str, number_bad_values=True, indexed=False):
-    """The last two fields of every body line as one complex value each.
-
-    Each line must hold the fields named in usage; if indexed, the first
-    field of body[i] must be the integer i.  The values come from Python's
-    float and are stored as real and imaginary parts, so they equal
-    complex(float(re), float(im)) bit for bit.  The first bad line raises
-    FileFormatError; body[i] is line first_line + i, and a value that float()
-    rejects is reported with that number unless number_bad_values is false.
+def _body_table(path, body, first_line: int, usage: str, number_bad_values=True, indexed=False):
+    """Every field of every body line, one row of floats per line; if indexed,
+    the first field of body[i] must be the integer i.  numpy's reader parses
+    with float()'s correctly rounded conversion, so values equal float()'s bit
+    for bit.  A body it refuses goes line by line through float() and int(),
+    which also take 1_0.  The first bad line (body[i] is line first_line + i)
+    raises FileFormatError, numbered for a value float() rejects only if
+    number_bad_values.
     """
     width = len(usage.split())
-    rows = [ln.split() for ln in body]
-    out = np.empty(len(rows), dtype=complex)
     try:
-        if all(len(parts) == width for parts in rows):
-            out.real = np.fromiter(map(float, map(itemgetter(-2), rows)), float, len(rows))
-            out.imag = np.fromiter(map(float, map(itemgetter(-1), rows)), float, len(rows))
-            if not indexed or np.array_equal(
-                np.fromiter(map(int, map(itemgetter(0), rows)), np.int64, len(rows)),
-                np.arange(len(rows)),
-            ):
-                return out
+        if body:  # loadtxt warns on an empty body
+            table = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
+            with warnings.catch_warnings():  # older numpy reads 1.0 as int 1 and warns
+                warnings.simplefilter("error", DeprecationWarning)
+                if table.shape == (len(body), width) and (not indexed or np.array_equal(
+                    np.loadtxt(body, dtype=np.int64, comments=None, usecols=0, ndmin=1),
+                    np.arange(len(body)),
+                )):
+                    return table
     except (ValueError, OverflowError):
         pass
+    table = np.empty((len(body), width))
     # line by line, so the first bad line is the one reported
-    for i, parts in enumerate(rows):
+    for i, line in enumerate(body):
+        parts = line.split()
         where = f"{path}: line {i + first_line}: "
         if len(parts) != width:
             raise FileFormatError(f"{where}expected {usage!r}")
         try:
             idx = int(parts[0]) if indexed else i
-            out[i] = complex(float(parts[-2]), float(parts[-1]))
+            values = [float(p) for p in parts[-2:]]
+            table[i] = [float(p) for p in parts[:-2]] + values
         except ValueError as exc:
             raise FileFormatError(f"{where if number_bad_values else f'{path}: '}{exc}") from exc
         if idx != i:
             raise FileFormatError(f"{where}index {idx} out of order")
-    return out
+    return table
 
 
 def _header_fields(line: str, kind: str, path) -> dict:
@@ -133,11 +137,16 @@ def read_potential(path) -> tuple[Potential, FrozenConfig]:
     body = [ln for ln in text[1:] if ln.strip()]
     if len(body) != n + 1:
         raise FileFormatError(f"{path}: expected {n + 1} sample lines, found {len(body)}")
-    samples = _complex_rows(path, body, 2, "x re im")
+    table = _body_table(path, body, 2, "x re im")
     try:
-        return Potential(samples), FrozenConfig(a=a, gamma=gamma)
+        q, config = Potential(table[:, -2:].view(complex)[:, 0]), FrozenConfig(a=a, gamma=gamma)
     except Exception as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    off = np.flatnonzero(~(np.abs(table[:, 0] - np.arange(n + 1) / n) <= _X_MATCH_TOL))
+    if len(off):
+        j = off[0]
+        raise FileFormatError(f"{path}: line {j + 2}: x={fmt_float(table[j, 0])} is not {j}/{n}")
+    return q, config
 
 
 def write_spectrum(path, spec: Spectrum) -> None:
@@ -192,7 +201,7 @@ def read_spectrum(path, a: float | None = None) -> Spectrum:
     body = [ln for ln in text[1:] if ln.strip()]
     if len(body) != m:
         raise FileFormatError(f"{path}: expected {m} eigenvalue lines, found {len(body)}")
-    values = _complex_rows(path, body, 2, "n re im", indexed=True)
+    values = _body_table(path, body, 2, "n re im", indexed=True)[:, -2:].view(complex)[:, 0]
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise FileFormatError(f"{path}: line {bad[0] + 2}: eigenvalue is not finite")
@@ -206,22 +215,6 @@ def read_spectrum(path, a: float | None = None) -> Spectrum:
             f"whose alpha is {fmt_complex(derived.alpha)}"
         )
     return Spectrum(values=values, config=config, alpha=derived)
-
-
-def write_operator(path, op: OperatorSpec) -> None:
-    lines = [f"kind={op.kind}", f"domain={fmt_float(op.domain_length)}"]
-    body = ""
-    if op.kind == "scalar":
-        lines.append(f"c={fmt_complex(op.scalar_value)}")
-    elif op.kind == "constant":
-        lines.append(f"count={len(op.profile)}")
-        body = _rows("%.17g %.17g\n", op.profile.real.tolist(), op.profile.imag.tolist())
-    else:
-        rows = op.matrix_values.shape[0]
-        lines.append(f"rows={rows}")
-        for row in op.matrix_values:
-            lines.append(" ".join(fmt_complex(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n" + body)
 
 
 def read_operator(path) -> OperatorSpec:
@@ -248,11 +241,9 @@ def read_operator(path) -> OperatorSpec:
             count = int(text[2][6:])
             body = text[3:]
             if len(body) != count:
-                raise FileFormatError(
-                    f"{path}: expected {count} profile lines, found {len(body)}"
-                )
-            profile = _complex_rows(path, body, 4, "re im", number_bad_values=False)
-            return OperatorSpec.constant(profile, domain)
+                raise FileFormatError(f"{path}: expected {count} profile lines, found {len(body)}")
+            table = _body_table(path, body, 4, "re im", number_bad_values=False)
+            return OperatorSpec.constant(table.view(complex)[:, 0], domain)
         if len(text) < 3 or not text[2].startswith("rows="):
             raise FileFormatError(f"{path}: matrix operator misses 'rows=' line")
         rows = int(text[2][5:])

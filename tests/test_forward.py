@@ -18,6 +18,7 @@ from frozenhill import (
     Potential,
     RootIsolationError,
     SineSeries,
+    Spectrum,
     build_w,
     compute_alpha,
     compute_spectrum,
@@ -633,6 +634,38 @@ class TestAcceptanceRule:
         assert branch and branch[0][1]  # a converged root, refused for its window
         assert err.value.index == 0
 
+    #: q = c0 + sum_j c_{2j-1} cos 2 pi j x + c_{2j} sin 2 pi j x, a generic smooth
+    #: potential whose window 0 at gamma = -1.05, a = 1/4 needs 12 Delta evaluations
+    SLOW_WINDOW = [
+        0.0206064994773707 + 0.3431752679614066j, -0.7119942499614846 + 0.6900461831366929j,
+        0.43474345221246935 + 0.8775036569597692j, -0.4473739718096945 - 0.9547645422259945j,
+        -0.7317320497564335 - 0.7637895456982826j, -0.9080256386589687 - 0.27947223063271376j,
+        -0.6503289242047527 - 0.8128262939148005j, -0.6164025665528672 + 0.19904894610655433j,
+        0.07394415914358521 - 0.47927155530378274j, -0.09792222765721759 - 0.471320541735349j,
+        0.9145887345070747 - 0.42334402270426885j, 0.9083026737332849 - 0.8045686848312199j,
+        0.5930922209368608 + 0.4818889064763179j,
+    ]
+
+    def test_newton_converges_past_eight_evaluations(self):
+        # pins NEWTON_MAX_ITER: Newton in rho from rho0 converges here only at
+        # its 12th evaluation of Delta, so a cap of 8 steps fails the window
+        xs, c = grid(1024), self.SLOW_WINDOW
+        q = np.full(len(xs), c[0])
+        for j in range(1, 7):
+            q = q + c[2 * j - 1] * np.cos(2 * PI * j * xs) + c[2 * j] * np.sin(2 * PI * j * xs)
+        cfg = FrozenConfig(a=0.25, gamma=-1.05)
+        delta = _SampledDelta(build_w(Potential(q), cfg), cfg.gamma)
+        calls = []
+
+        def g(rho):
+            calls.append(rho)
+            return delta(rho * rho)
+
+        rho0 = reference_rho(0, compute_alpha(cfg.gamma))
+        rho, ok = _newton(g, rho0, delta.tol(rho0), fence=2.0 * PI, slope=delta.slope)
+        assert ok and _accepted(rho, ok, rho0)
+        assert 10 <= len(calls) <= forward.NEWTON_MAX_ITER
+
 
 class TestSpectrum:
     def test_free_problem_hits_references(self):
@@ -736,6 +769,34 @@ class TestAsymptotics:
             rho0 = reference_rho(n, spec.alpha)
             recon = (rho0 + res.eps[n]) ** 2 - rho0**2
             assert abs(recon - res.kappa[n]) < 1e-10 * (1 + abs(res.kappa[n]))
+
+    @pytest.mark.parametrize(
+        "gamma", [2.0, 0.5 + 0.5j, np.exp(1j * PI / 4), -1.05, 1.02, 1.0, -1.0, 3j]
+    )
+    def test_arrays_equal_the_scalar_loop(self, gamma):
+        # the scalar loop verify_asymptotics ran before it took arrays is the reference
+        rng = np.random.default_rng(17)
+        q = trig_poly_potential(rng, 512, degree=3)
+        spec = compute_spectrum(q, FrozenConfig(a=0.25, gamma=gamma), 40)
+        alpha = spec.alpha
+        refs = np.array([reference_rho(n, alpha) for n in range(240)])
+        # solver values; values on, next to and in a tie between the two roots of
+        # their reference; values on the negative real axis and at +-0
+        values = np.concatenate([
+            spec.values, refs[40:80] ** 2, (refs[80:160] + rng.normal(size=80) * 1e-9) ** 2,
+            (1j * refs[160:200]) ** 2, -rng.uniform(0, 50, 36), [0j, complex(-0.0, -0.0)],
+            [complex(-0.0, 0.0), complex(0.0, -0.0)],
+        ])
+        m = len(values)
+        spec = Spectrum(values=values, config=spec.config, alpha=alpha)
+        kappa, eps = np.empty(m, complex), np.empty(m, complex)
+        for n, lam in enumerate(values):
+            rho0 = reference_rho(n, alpha)
+            kappa[n] = lam - rho0 * rho0
+            eps[n] = forward._root_near(lam, rho0) - rho0
+        res = verify_asymptotics(spec)
+        assert np.array_equal(res.kappa.view(np.int64), kappa.view(np.int64))
+        assert np.array_equal(res.eps.view(np.int64), eps.view(np.int64))
 
     def test_tail_decay_for_smooth_potential(self):
         rng = np.random.default_rng(16)

@@ -1,6 +1,8 @@
 """Serialisation round trips and CLI exit-code behaviour."""
 
+import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +31,32 @@ from frozenhill import cli
 from frozenhill.cli import main
 from frozenhill.core import reference_lambda
 from frozenhill.io import (
+    _rows,
     fmt_complex,
+    fmt_float,
     read_operator,
     read_potential,
     read_spectrum,
-    write_operator,
     write_potential,
     write_spectrum,
 )
+
+
+def write_operator(path, op: OperatorSpec) -> None:
+    """An operator file in the format read_operator reads, 17 digits per number."""
+    lines = [f"kind={op.kind}", f"domain={fmt_float(op.domain_length)}"]
+    body = ""
+    if op.kind == "scalar":
+        lines.append(f"c={fmt_complex(op.scalar_value)}")
+    elif op.kind == "constant":
+        lines.append(f"count={len(op.profile)}")
+        body = _rows("%.17g %.17g\n", op.profile.real.tolist(), op.profile.imag.tolist())
+    else:
+        rows = op.matrix_values.shape[0]
+        lines.append(f"rows={rows}")
+        for row in op.matrix_values:
+            lines.append(" ".join(fmt_complex(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n" + body)
 
 
 #: compute_alpha(2.0) as write_spectrum prints it, for hand-written gamma = 2 headers
@@ -288,6 +308,40 @@ class TestReaders:
             read_spectrum(path)
         assert str(err.value) == f"{path}: {message}"
 
+    @pytest.fixture
+    def no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_underscored_values_read_as_float_reads_them(self, tmp_path, no_warnings):
+        # numpy's reader refuses 1_0; the line-by-line pass takes it as float() does
+        rows = [f"{j / 16} 0.5 0.25" for j in range(17)]
+        rows[4] = "0.25 1_0 -2_5.0_1"
+        path = tmp_path / "q.pot"
+        path.write_text(self._potential_text(rows))
+        q, _ = read_potential(path)
+        expected = [complex(float(r.split()[1]), float(r.split()[2])) for r in rows]
+        assert _same_bits(q.samples, np.array(expected))
+        assert q.samples[4] == complex(10.0, -25.01)
+
+    def test_spectrum_indices_read_as_int_reads_them(self, tmp_path, no_warnings):
+        rows = [f"{j} 0.5 {j}" for j in range(11)]
+        rows[3], rows[7], rows[10] = "+3 0.5 3", "07 0.5 7", "1_0 0.5 10"
+        path = tmp_path / "s.spec"
+        path.write_text(self._spectrum_text(rows))
+        assert _same_bits(read_spectrum(path).values, 0.5 + 1j * np.arange(11.0))
+        rows[10] = "10"  # past the indices numpy refuses, a short line is still named
+        path.write_text(self._spectrum_text(rows))
+        with pytest.raises(FileFormatError, match="line 12: expected 'n re im'"):
+            read_spectrum(path)
+
+    def test_empty_constant_operator(self, tmp_path, no_warnings):
+        path = tmp_path / "p.op"
+        path.write_text("kind=constant\ndomain=0.5\ncount=0\n")
+        op = read_operator(path)
+        assert op.kind == "constant" and op.profile.shape == (0,)
+
     def test_non_finite_spectrum_exit_2(self, runner, tmp_path):
         path = tmp_path / "s.spec"
         rows = [f"{j} {10.0 * (j + 1) ** 2} 0" for j in range(8)]
@@ -297,6 +351,57 @@ class TestReaders:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "line 5: eigenvalue is not finite" in result.output
+
+
+#: grid size of TestPotentialGrid's files
+POT_N = 16
+
+
+class TestPotentialGrid:
+    """read_potential holds the x column to the grid j/n that the header's n gives."""
+
+    @staticmethod
+    def _write(path, xs):
+        rows = [f"{x!r} 0.5 -0.25" for x in xs]
+        path.write_text(f"# potential n={POT_N} a=0 gamma=2,0\n" + "".join(f"{r}\n" for r in rows))
+
+    @pytest.mark.parametrize(
+        "xs, line",
+        [
+            pytest.param([2 * j / POT_N for j in range(POT_N + 1)], 3, id="grid on 0..2"),
+            pytest.param([(j / POT_N) ** 2 for j in range(POT_N + 1)], 3, id="non-uniform"),
+            pytest.param([j / POT_N + 2e-12 * (j == 5) for j in range(POT_N + 1)], 7, id="2e-12 off"),
+            pytest.param([j / POT_N if j != 9 else math.nan for j in range(POT_N + 1)], 11, id="nan"),
+        ],
+    )
+    def test_other_grid_is_refused(self, tmp_path, xs, line):
+        path = tmp_path / "q.pot"
+        self._write(path, xs)
+        j = line - 2
+        with pytest.raises(FileFormatError) as err:
+            read_potential(path)
+        assert str(err.value) == f"{path}: line {line}: x={fmt_float(xs[j])} is not {j}/{POT_N}"
+
+    def test_other_grid_exits_2(self, runner, tmp_path):
+        path = tmp_path / "q.pot"
+        self._write(path, [2 * j / POT_N for j in range(POT_N + 1)])
+        result = runner.invoke(main, ["forward", "--in", str(path), "--m", "4"])
+        assert result.exit_code == 2
+        assert "line 3: x=0.125 is not 1/16" in result.output
+
+    def test_grids_that_pass(self, tmp_path):
+        path = tmp_path / "q.pot"
+        # within 1e-12 of j/n
+        self._write(path, [j / POT_N + (5e-13 if j == 5 else 0.0) for j in range(POT_N + 1)])
+        assert read_potential(path)[0].n == POT_N
+        # the package's writer (linspace) and the j/n of hand-written files
+        q = Potential(np.full(POT_N + 1, 0.5 - 0.25j))
+        write_potential(path, q, FrozenConfig(a=0.0, gamma=2.0))
+        assert _same_bits(read_potential(path)[0].samples, q.samples)
+        self._write(path, [j / POT_N for j in range(POT_N + 1)])
+        assert _same_bits(read_potential(path)[0].samples, q.samples)
+        bundled, _ = read_potential(Path(__file__).resolve().parent.parent / "samples" / "sample.pot")
+        assert bundled.n == 512
 
 
 class TestSpectrumProvenance:

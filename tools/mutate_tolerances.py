@@ -38,6 +38,7 @@ MUTANTS = [
     ("inverse", "_SINGULAR_TOL", 1e-4),
     ("inverse", "_CONSISTENCY_TOL", 1e3),
     ("io", "_A_MATCH_TOL", 1e6),
+    ("io", "_X_MATCH_TOL", 1e6),
     ("io", "_ALPHA_MATCH_RTOL", 1e8),
     ("core", "SNAP_TOL", 1e5),
     ("basis", "_QUAD_CHECK_TOL", 1e8),
