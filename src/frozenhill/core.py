@@ -302,30 +302,9 @@ class AsymptoticResidues:
         return self.last_quarter_energy < max(self.first_quarter_energy, floor)
 
 
-def shift_to_zero(q: Potential, config: FrozenConfig) -> Potential:
-    """Transport the potential so the frozen point moves to the origin.
-
-    q_a(x) = q(x + a) left of the snapped node x = 1 - a and q(x + a - 1)/gamma
-    from that node on; for a = 0 the map is the identity.  The spectrum of
-    (q, a, gamma) equals the spectrum of (q_a, 0, gamma).
-    """
-    n = q.n
-    j_a = config.snap(n)
-    if j_a == 0:
-        return Potential(q.samples.copy())
-    s = q.samples
-    gamma = config.gamma
-    out = np.empty(n + 1, dtype=complex)
-    cut = n - j_a
-    js = np.arange(0, cut)
-    out[js] = s[j_a + js]
-    js = np.arange(cut, n + 1)
-    out[js] = s[j_a + js - n] / gamma
-    return Potential(out)
-
-
 def unshift(q_a: Potential, config: FrozenConfig) -> Potential:
-    """Invert shift_to_zero: q(x) = gamma*q_a(x - a + 1) on (0, a), q_a(x - a) on (a, 1)."""
+    """Move the frozen point from 0 back to a, keeping the spectrum:
+    q(x) = gamma*q_a(x - a + 1) on (0, a), q_a(x - a) on (a, 1)."""
     n = q_a.n
     j_a = config.snap(n)
     s = q_a.samples

@@ -9,11 +9,12 @@ Their agreement is the central consistency check of the whole package.
 
 On grid samples of w the integral form has one implementation, _SampledDelta,
 shared by eval_delta_fundrep and compute_spectrum (as the cofactor of Delta at
-gamma = +-1).  compute_spectrum runs one window loop for every gamma: an FFT
-check at every reference point, Newton in lambda near rho = 0, else Newton in
-rho on the kernel's exact slope.  Every value it returns has passed one rule,
-_accepted: a residual under tol, and a root within WINDOW_RADIUS of its
-reference point; else it raises.
+gamma = +-1).  Delta's integral is a Simpson dot over phi; the cofactor's comes,
+as in the determinant route, from _exp_sums where |rho| >= 1/2.  compute_spectrum
+runs one window loop for every gamma: an FFT check at every reference point,
+Newton in lambda near rho = 0, else Newton in rho on the kernel's exact slope.
+Every value it returns has passed one rule, _accepted: a residual under tol,
+and a root within WINDOW_RADIUS of its reference point; else it raises.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ WINDOW_RADIUS = PI / 2
 
 NEWTON_MAX_ITER = 50
 
-#: below this |rho| the determinant route keeps the phi/cos kernels, whose
-#: series branch avoids the cancellation of (e^{i rho s} - e^{-i rho s}) / rho
+#: below this |rho| the determinant route and the gamma = +-1 cofactor keep the
+#: phi/cos kernels, whose series branch avoids the cancellation of
+#: (e^{i rho s} - e^{-i rho s}) / rho
 _EXP_KERNEL_MIN_RHO = 0.5
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -309,6 +311,8 @@ class _SampledDelta:
     The cofactors (factored=True) solve Delta = lead(rho) * cofactor, where the
     zeros of lead = (2/rho) sin(rho/2) or 2 cos(rho/2) are the degenerate half
     of the spectrum.  They need w(x) = +-w(1-x), which build_w makes exact.
+    Delta's sums are Simpson dots over phi/cos.  The cofactors' run on _exp_sums
+    (anchor 0) where |rho| >= _EXP_KERNEL_MIN_RHO, and on those dots below.
     """
 
     def __init__(self, w: Potential, gamma: complex, factored: bool = False):
@@ -317,11 +321,16 @@ class _SampledDelta:
         span = w.n // 2 if factored else w.n
         self.xs, self.wts, self.wxs = _simpson_grid(span, w.n)
         self.samples = w.samples[span::-1] if factored else w.samples
+        if factored:  # c_j and c_j x_j for the exponential sums
+            self.c, self.cx = self.wts * self.samples, self.wxs * self.samples
         self._last = None, None, None  # (lambda, rho, I) of the latest call, for slope
 
     def __call__(self, lam: complex) -> complex:
         rho = np.sqrt(complex(lam))
-        if self.cosine:
+        if self.factored and abs(rho) >= _EXP_KERNEL_MIN_RHO:
+            fwd, bwd = _exp_sums(self.c, rho, 0.0, self.n)
+            part = -(fwd + bwd) / 2.0 if self.cosine else (bwd - fwd) / (2j * rho)
+        elif self.cosine:
             part = -np.dot(self.wts, self.samples * np.cos(rho * self.xs))
         else:
             part = np.dot(self.wts, self.samples * phi(rho, self.xs))
@@ -344,11 +353,15 @@ class _SampledDelta:
         _, r, part = self._last
         if r == 0:
             return 0j  # the value is even in rho
+        if self.factored and abs(r) >= _EXP_KERNEL_MIN_RHO:
+            fwd, bwd = _exp_sums(self.cx, r, 0.0, self.n)
+            sums = (bwd - fwd) / 2j if self.cosine else (fwd + bwd) / 2.0
+        else:
+            sums = np.dot(self.wxs, self.samples * (np.sin if self.cosine else np.cos)(r * self.xs))
         if self.cosine:
-            sums = np.dot(self.wxs, self.samples * np.sin(r * self.xs))
             der = 2.0 * np.sin(r / 2.0) + r * np.cos(r / 2.0) + sums
         else:
-            odd = (np.dot(self.wxs, self.samples * np.cos(r * self.xs)) - part) / r
+            odd = (sums - part) / r
             der = odd - np.sin(r / 2.0) if self.factored else 2.0 * self.gamma * np.sin(r) - odd
         return complex(der if (r * np.conj(rho)).real >= 0 else -der)
 
@@ -480,13 +493,18 @@ def _reference_sums(c: np.ndarray, n: int, alpha: AlphaParam, m: int):
     minus = F-[p] for even k, plus = F-[-p] and minus = F+[p] for odd k.  Indices
     wrap modulo L, which aliases windows with p >= L exactly.
 
-    slack_k bounds the distance of either sum from Newton's direct evaluation.
+    slack_k bounds the distance of either sum from Newton's own evaluation.
     Let u = 2^-53 and T = sqrt(L) max ||d+-||_2, which bounds
     sum_j |c_j| e^{|Im rho0| x_j}, so each sum and its rho-derivative.
       * The FFT rounds by at most 8 u log2(L) T (a normwise bound).
       * The Simpson dot, e.g. np.dot(wts, w * sin(rho x) / rho) scaled by |rho|
         to these units, rounds by at most u (2 len(c) + 2 |rho0| + 16) T: the
         summation, plus the rounding u |rho x| of the kernel's argument.
+      * At gamma = +-1 Newton runs _exp_sums instead, on x_j <= 1/2.  Per term,
+        its exponentials' arguments round by 2 u |rho x|, the values by 4 u
+        each, the reciprocals by 3 u more and the two matrix-vector products by
+        (ceil(L'/b) + b + 4) u, L' = len(c): u (b + ceil(L'/b) + |rho0| + 18) T
+        in all, within the dot's bound, as b + ceil(L'/b) <= 2 L' - 2 for L' >= 4.
       * Newton evaluates at rho = sqrt(rho0^2), and |rho - rho0| <= 8 u |rho0|.
         For |rho0| >= 1/2 the sums, and |rho0| times sums / rho, change by at
         most 3 T per unit of rho.

@@ -26,6 +26,28 @@ def project_out_rows(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return b - c.conj().T @ np.linalg.solve(gram, c @ b)
 
 
+def shift_to_zero(q: Potential, config: FrozenConfig) -> Potential:
+    """Transport the potential so the frozen point moves to the origin.
+
+    q_a(x) = q(x + a) left of the snapped node x = 1 - a and q(x + a - 1)/gamma
+    from that node on; for a = 0 the map is the identity.  The spectrum of
+    (q, a, gamma) equals the spectrum of (q_a, 0, gamma).
+    """
+    n = q.n
+    j_a = config.snap(n)
+    if j_a == 0:
+        return Potential(q.samples.copy())
+    s = q.samples
+    gamma = config.gamma
+    out = np.empty(n + 1, dtype=complex)
+    cut = n - j_a
+    js = np.arange(0, cut)
+    out[js] = s[j_a + js]
+    js = np.arange(cut, n + 1)
+    out[js] = s[j_a + js - n] / gamma
+    return Potential(out)
+
+
 def random_complex(rng, count, scale=0.7):
     return scale * (rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count))
 

@@ -13,6 +13,7 @@ from conftest import (
     gram_entry_by_quadrature,
     half_ratio_potential,
     potential_from_w_coeffs,
+    shift_to_zero,
     sine_poly_potential,
     trig_poly_potential,
     window_flat_potential,
@@ -116,8 +117,6 @@ def test_criterion_2_asymptotics_and_degeneration():
 
 
 def test_criterion_3_shift_reduction():
-    from frozenhill.core import shift_to_zero
-
     rng = np.random.default_rng(103)
     q = sine_poly_potential(rng, 1024, degree=4, scale=0.6)
     gamma = 2.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import shift_to_zero
 from frozenhill import (
     ConfigError,
     FrozenConfig,
@@ -17,7 +18,6 @@ from frozenhill.core import (
     reference_lambda_array,
     reference_rho,
     reflect_problem,
-    shift_to_zero,
     simpson,
     simpson_weights,
     snap_index,

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     flat_sine_coeffs,
     potential_from_w_coeffs,
+    shift_to_zero,
     sine_poly_potential,
     trig_poly_potential,
     window_flat_potential,
@@ -31,7 +32,6 @@ from frozenhill.core import (
     delta0,
     reference_lambda,
     reference_rho,
-    shift_to_zero,
     simpson_weights,
 )
 from frozenhill import forward
@@ -345,19 +345,32 @@ class TestKernelSlope:
 
 
 def degenerate_reference(q, cfg, m):
-    """gamma = +-1 eigenvalues solved window by window, Newton from every reference point."""
+    """gamma = +-1 eigenvalues solved window by window, Newton from every reference point.
+
+    The cofactor's sums run on _exp_sums for |rho| >= 1/2 and on Simpson dots
+    over cos/phi below, as in the solver.
+    """
     w = build_w(q, cfg)
     alpha = compute_alpha(cfg.gamma)
     half = w.n // 2  # w(1/2 - x) on the half grid x in [0, 1/2]
     xs, wts = np.linspace(0.0, 0.5, half + 1), simpson_weights(half) / w.n
     wxs = wts * xs
     v = w.samples[half::-1]
+    c, cx = wts * v, wxs * v
+    periodic = cfg.gamma == 1
+
+    def integral(rho):
+        if abs(rho) >= 0.5:
+            fwd, bwd = _exp_sums(c, rho, 0.0, w.n)
+            return -(fwd + bwd) / 2.0 if periodic else (bwd - fwd) / (2j * rho)
+        if periodic:
+            return -np.dot(wts, v * np.cos(rho * xs))
+        return np.dot(wts, v * phi(rho, xs))
 
     def inner_lam(lam):
         rho = np.sqrt(complex(lam))
-        if cfg.gamma == 1:
-            return complex(2.0 * rho * np.sin(rho / 2.0) - np.dot(wts, v * np.cos(rho * xs)))
-        return complex(2.0 * np.cos(rho / 2.0) + np.dot(wts, v * phi(rho, xs)))
+        head = 2.0 * rho * np.sin(rho / 2.0) if periodic else 2.0 * np.cos(rho / 2.0)
+        return complex(head + integral(rho))
 
     def g(rho):
         return inner_lam(rho * rho)
@@ -365,11 +378,15 @@ def degenerate_reference(q, cfg, m):
     def slope(rho):
         # the exact rho-derivative at the kernel's point r = sqrt(rho^2); odd in r
         r = np.sqrt(complex(rho * rho))
-        if cfg.gamma == 1:
-            der = 2.0 * np.sin(r / 2.0) + r * np.cos(r / 2.0) + np.dot(wxs, v * np.sin(r * xs))
+        if abs(r) >= 0.5:
+            fwd, bwd = _exp_sums(cx, r, 0.0, w.n)
+            sums = (bwd - fwd) / 2j if periodic else (fwd + bwd) / 2.0
         else:
-            odd = (np.dot(wxs, v * np.cos(r * xs)) - np.dot(wts, v * phi(r, xs))) / r
-            der = odd - np.sin(r / 2.0)
+            sums = np.dot(wxs, v * (np.sin(r * xs) if periodic else np.cos(r * xs)))
+        if periodic:
+            der = 2.0 * np.sin(r / 2.0) + r * np.cos(r / 2.0) + sums
+        else:
+            der = (sums - integral(r)) / r - np.sin(r / 2.0)
         return complex(der if (r * np.conj(rho)).real >= 0 else -der)
 
     g.slope = slope
@@ -468,7 +485,13 @@ class TestDegenerateFirstPass:
             assert abs(plus[idx] - np.dot(c, np.exp(1j * rho0 * xs))) <= slack[idx]
             assert abs(minus[idx] - np.dot(c, np.exp(-1j * rho0 * xs))) <= slack[idx]
             # the bound's shift term: Newton's first check runs at sqrt(rho0^2)
-            assert abs(np.sqrt(complex(rho0 * rho0)) - rho0) <= 8 * 2.0**-53 * abs(rho0)
+            rho = np.sqrt(complex(rho0 * rho0))
+            assert abs(rho - rho0) <= 8 * 2.0**-53 * abs(rho0)
+            if kernel.factored and abs(rho0) >= 0.5:
+                # where the cofactor's own evaluation is the exponential sums
+                fwd, bwd = _exp_sums(c, rho, 0.0, w.n)
+                assert abs(plus[idx] - bwd) <= slack[idx]
+                assert abs(minus[idx] - fwd) <= slack[idx]
 
     @pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, 0.5 + 0.5j])
     def test_reference_check_spares_the_rounding_bound(self, gamma):
@@ -539,6 +562,152 @@ class TestDegenerateFirstPass:
         assert at_reference > m // 3
         # Newton runs only where the reference point fails (n = 0 has |rho0| >= 0.5 here)
         assert len(newton_runs) == m - at_reference
+
+
+def simpson_dot_call(self, lam):
+    """The cofactor's value with its integral a Simpson dot over cos/phi at every
+    rho, as before the exponential sums; an accuracy reference."""
+    rho = np.sqrt(complex(lam))
+    if self.cosine:
+        part = -np.dot(self.wts, self.samples * np.cos(rho * self.xs))
+    else:
+        part = np.dot(self.wts, self.samples * phi(rho, self.xs))
+    self._last = lam, rho, part
+    return self._value(lam, rho, part)
+
+
+def simpson_dot_slope(self, rho):
+    """The cofactor's slope on Simpson dots at every rho, reusing simpson_dot_call."""
+    lam = rho * rho
+    if self._last[0] != lam:
+        self(lam)
+    _, r, part = self._last
+    if r == 0:
+        return 0j
+    if self.cosine:
+        sums = np.dot(self.wxs, self.samples * np.sin(r * self.xs))
+        der = 2.0 * np.sin(r / 2.0) + r * np.cos(r / 2.0) + sums
+    else:
+        der = (np.dot(self.wxs, self.samples * np.cos(r * self.xs)) - part) / r - np.sin(r / 2.0)
+    return complex(der if (r * np.conj(rho)).real >= 0 else -der)
+
+
+def spectrum_or_raise(q, cfg, m):
+    try:
+        return compute_spectrum(q, cfg, m).values
+    except RootIsolationError as err:
+        return err.index
+
+
+class TestCofactorKernel:
+    """At gamma = +-1 the cofactor runs on _exp_sums for |rho| >= 1/2; Delta never does."""
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75])
+    def test_values_match_simpson_dot(self, gamma, a):
+        # within 16 u (1 + |rho|) sum_j |c_j| e^{|Im rho| x_j}, over |rho| at gamma = -1:
+        # both forms round the argument rho x_j, and the sums in their own order
+        rng = np.random.default_rng(41)
+        q = trig_poly_potential(rng, 1024, degree=5)
+        kernel = _SampledDelta(build_w(q, FrozenConfig(a=a, gamma=gamma)), gamma, factored=True)
+        old = _SampledDelta(build_w(q, FrozenConfig(a=a, gamma=gamma)), gamma, factored=True)
+        for rho in (0.5, 0.5j, 0.7 + 0.3j, 3 + 0.2j, 2 - 9j, 40 - 7j, 0.7 + 14j, 123.4 + 13.5j,
+                    150 - 14j, 200, 1000.5, 3000 + 1j):
+            for z in (complex(rho), -complex(rho)):
+                r = np.sqrt(z * z)
+                scale = np.sum(np.abs(kernel.wts * kernel.samples) * np.exp(abs(r.imag) * kernel.xs))
+                bound = 16 * 2.0**-53 * (1 + abs(r)) * scale
+                got, want = kernel(z * z), simpson_dot_call(old, z * z)
+                assert abs(got - want) <= (bound if gamma == 1 else bound / abs(r)), z
+                assert abs(kernel.slope(z) - simpson_dot_slope(old, z)) <= bound, z
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75])
+    def test_spectra_match_simpson_dot(self, gamma, a, monkeypatch):
+        # the same raise or return as on the Simpson-dot kernel, and the same
+        # values to 1e-12 relative; scales 30 and 100 raise at n = 0 or 2, but
+        # at gamma = -1, a = 0 every case returns
+        rng = np.random.default_rng(42)
+        xs = grid(512)
+        stiff = np.cos(2 * PI * xs) + 0.5j * np.sin(3 * PI * xs)
+        cases = [window_flat_potential(rng, a, 512), trig_poly_potential(rng, 512, degree=4)]
+        cases += [Potential(scale * stiff) for scale in (1.0, 10.0, 30.0, 100.0)]
+        cfg = FrozenConfig(a=a, gamma=gamma)
+        new = [spectrum_or_raise(q, cfg, 60) for q in cases]
+        monkeypatch.setattr(_SampledDelta, "__call__", simpson_dot_call)
+        monkeypatch.setattr(_SampledDelta, "slope", simpson_dot_slope)
+        old = [spectrum_or_raise(q, cfg, 60) for q in cases]
+        raised = [isinstance(v, int) for v in old]
+        assert not all(raised) and (any(raised) or (gamma, a) == (-1.0, 0.0))
+        for got, want in zip(new, old):
+            if isinstance(want, int):
+                assert got == want  # raised, for the same index
+            else:
+                assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-12
+
+    def test_delta_never_calls_exp_sums(self, monkeypatch):
+        # unfactored Delta (eval_delta_fundrep, compute_spectrum at gamma != +-1)
+        # keeps its Simpson dots; only the cofactor reads the exponential sums
+        rng = np.random.default_rng(43)
+        q = trig_poly_potential(rng, 256, degree=3)
+        calls = []
+        sums = forward._exp_sums
+        monkeypatch.setattr(forward, "_exp_sums", lambda *args: calls.append(1) or sums(*args))
+        for gamma in (2.0, 0.5 + 0.5j, -1.05, 1.0, -1.0):
+            cfg = FrozenConfig(a=0.25, gamma=gamma)
+            eval_delta_fundrep(40.0 + 3j, build_w(q, cfg), gamma)
+            if gamma not in (1.0, -1.0):
+                compute_spectrum(q, cfg, 20)
+        assert not calls
+        compute_spectrum(q, FrozenConfig(a=0.25, gamma=-1.0), 20)
+        assert calls
+
+    @staticmethod
+    def _cancelling_error(got, want, scale):
+        return float(abs(np.clongdouble(got) - want)) / (2.0**-53 * scale)
+
+    def test_cofactor_series_branch_below_the_cut(self):
+        # gamma = -1: I = sum_j c_j sin(rho x_j) / rho over a profile near x = 0, so
+        # (bwd - fwd) / (2 i rho) cancels to about x_j rho of each sum.  Below
+        # |rho| = 1/2 phi keeps 8 u of sum_j |c_j| x_j; above, the exponential
+        # form keeps 8 u of sum_j |c_j| / |rho|, which is all it promises
+        n = 1024
+        rng = np.random.default_rng(44)
+        w = np.zeros(n + 1, dtype=complex)
+        w[n // 2 - 3 : n // 2 + 4] = 1e9 * (rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7))
+        kernel = _SampledDelta(Potential(w), -1.0, factored=True)
+        c = (kernel.wts * kernel.samples).astype(np.clongdouble)
+        x = np.arange(len(c), dtype=np.longdouble) / n
+        for rho in (0.4999, 0.3 + 0.2j, 0.5001, 0.51):
+            zl = np.clongdouble(rho)
+            want = 2 * np.cos(zl / 2) + np.sum(c * np.sin(zl * x)) / zl
+            below = abs(rho) < 0.5
+            scale = np.sum(np.abs(c) * x) if below else np.sum(np.abs(c)) / abs(rho)
+            err = self._cancelling_error(kernel(rho * rho), want, float(scale) + 2.0)
+            assert err <= 8, (rho, err)
+
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    def test_fundamental_solutions_series_branch_below_the_cut(self, x):
+        # the determinant route's reader of the same cut: W(x) - 1 =
+        # int_a^x q(t) sin(rho (a - t)) / rho dt over a q that lives next to a
+        n, a, j_a = 1024, 0.25, 256
+        rng = np.random.default_rng(45)
+        q = np.zeros(n + 1, dtype=complex)
+        lo = j_a if x > a else j_a - 3
+        q[lo : lo + 4] = 1e9 * (rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4))
+        j_x = round(x * n)
+        lo, hi = min(j_a, j_x), max(j_a, j_x)
+        c = (simpson_weights(hi - lo) / n * q[lo : hi + 1]).astype(np.clongdouble)
+        dist = np.longdouble(a) - np.arange(lo, hi + 1, dtype=np.longdouble) / n
+        sign = 1 if j_x >= j_a else -1
+        for rho in (0.4999, 0.3 + 0.2j, 0.5001, 0.51):
+            zl = np.clongdouble(rho)
+            want = 1 + sign * np.sum(c * np.sin(zl * dist)) / zl
+            below = abs(rho) < 0.5
+            scale = np.sum(np.abs(c * dist)) if below else np.sum(np.abs(c)) / abs(rho)
+            got = fundamental_solutions(x, rho * rho, Potential(q), FrozenConfig(a=a, gamma=2.0)).w
+            err = self._cancelling_error(got, want, float(scale) + 1.0)
+            assert err <= 8, (rho, err)
 
 
 class TestPairRescan:

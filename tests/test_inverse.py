@@ -9,6 +9,7 @@ from conftest import (
     flat_sine_coeffs,
     half_ratio_potential,
     potential_from_w_coeffs,
+    shift_to_zero,
     sine_poly_potential,
     trig_poly_potential,
     window_flat_potential,
@@ -737,8 +738,6 @@ class TestAlgorithm4:
         p_op = OperatorSpec.constant(q.samples[half::-1], a)
         q4 = algorithm4(two, p_op, 60, 120, grid_n=1024)
         # the equivalent one-spectrum operator couples the halves of q_a
-        from frozenhill.core import shift_to_zero
-
         q_a = shift_to_zero(q, cfg)
         k_op = OperatorSpec.constant(q_a.samples[half::-1], 0.5)
         q2 = algorithm2(two.spec0, cfg, k_op, 60, 120, grid_n=1024)
