@@ -34,8 +34,14 @@ EXIT_TOLERANCE = 5
 _A_HELP = "frozen point; defaults to the spectrum file's a= field, else 0"
 
 
+def _echo(message: str, err: bool = False):
+    """click.echo with file: without one, click caches the current stream as its own
+    weak key's value, so each stream an in-process call redirects to would never die."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _fail(code: int, exc: Exception):
-    click.echo(f"error: {exc}", err=True)
+    _echo(f"error: {exc}", err=True)
     sys.exit(code)
 
 
@@ -79,10 +85,10 @@ def _read_operator(op_path: str | None):
 
 
 def _echo_reconstruction(q, config: FrozenConfig, out_path: str | None):
-    click.echo(f"reconstructed potential on n={q.n} grid, L2 norm {q.l2_norm():.6g}")
+    _echo(f"reconstructed potential on n={q.n} grid, L2 norm {q.l2_norm():.6g}")
     if out_path:
         fio.write_potential(out_path, q, config)
-        click.echo(f"wrote {out_path}")
+        _echo(f"wrote {out_path}")
 
 
 def _constant_profiles(op_paths) -> list:
@@ -98,22 +104,22 @@ def _constant_profiles(op_paths) -> list:
 
 def _echo_members(members, config: FrozenConfig, out_path: str | None):
     for i, member in enumerate(members):
-        click.echo(f"member {i}: L2 norm {member.l2_norm():.6g}")
+        _echo(f"member {i}: L2 norm {member.l2_norm():.6g}")
         if out_path:
             fio.write_potential(f"{out_path}.{i}.pot", member, config)
     if out_path:
-        click.echo(f"wrote {len(members)} member file(s) under {out_path}.*.pot")
+        _echo(f"wrote {len(members)} member file(s) under {out_path}.*.pot")
 
 
 def _print_spectrum_summary(spec, limit: int = 8):
     res = verify_asymptotics(spec)
-    click.echo(f"{'n':>4} {'Re lambda':>22} {'Im lambda':>22} {'|kappa_n|':>12}")
+    _echo(f"{'n':>4} {'Re lambda':>22} {'Im lambda':>22} {'|kappa_n|':>12}")
     for n in range(min(limit, len(spec))):
         lam = spec.values[n]
-        click.echo(f"{n:>4} {lam.real:>22.12g} {lam.imag:>22.12g} {abs(res.kappa[n]):>12.3e}")
+        _echo(f"{n:>4} {lam.real:>22.12g} {lam.imag:>22.12g} {abs(res.kappa[n]):>12.3e}")
     if len(spec) > limit:
-        click.echo(f"  ... {len(spec) - limit} more")
-    click.echo(
+        _echo(f"  ... {len(spec) - limit} more")
+    _echo(
         f"residual tail: first-quarter energy {res.first_quarter_energy:.3e}, "
         f"last-quarter {res.last_quarter_energy:.3e}, decaying: {res.tail_ok}"
     )
@@ -139,7 +145,7 @@ def forward(in_path, a, gamma, m_eigs, out_path):
     _print_spectrum_summary(spec)
     if out_path:
         fio.write_spectrum(out_path, spec)
-        click.echo(f"wrote {out_path}")
+        _echo(f"wrote {out_path}")
 
 
 @main.command()
@@ -201,10 +207,10 @@ def roundtrip(in_path, a, gamma, m_eigs, kterms, ntrunc, tol, op_path, out_path)
     q_rec = reconstruct(spec, kterms, ntrunc, q.n, op)
     err = rel_l2_error(q_rec, q)
     status = "PASS" if err <= tol else "FAIL"
-    click.echo(f"relative L2 reconstruction error: {err:.6e}  [{status}, tol {tol:g}]")
+    _echo(f"relative L2 reconstruction error: {err:.6e}  [{status}, tol {tol:g}]")
     if out_path:
         fio.write_potential(out_path, q_rec, cfg)
-        click.echo(f"wrote {out_path}")
+        _echo(f"wrote {out_path}")
     if err > tol:
         sys.exit(EXIT_TOLERANCE)
 
@@ -263,13 +269,13 @@ def basischeck(gamma, n_max, out_path):
         sizes.append(n)
         n *= 2
     report = riesz_report(alpha, sizes)
-    click.echo(f"alpha = {alpha:.12g}")
-    click.echo(f"{'N':>6} {'A1':>16} {'A2':>16} {'cond':>16}")
+    _echo(f"alpha = {alpha:.12g}")
+    _echo(f"{'N':>6} {'A1':>16} {'A2':>16} {'cond':>16}")
     for row in report.rows:
-        click.echo(
+        _echo(
             f"{row.n_half:>6} {row.lower:>16.9e} {row.upper:>16.9e} {row.condition:>16.6e}"
         )
-    click.echo(
+    _echo(
         f"lower bounds non-increasing: {report.lower_nonincreasing}; "
         f"upper bounds non-decreasing: {report.upper_nondecreasing}"
     )
@@ -282,7 +288,7 @@ def basischeck(gamma, n_max, out_path):
             )
         with open(out_path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        click.echo(f"wrote {out_path}")
+        _echo(f"wrote {out_path}")
 
 
 @main.command()
@@ -296,7 +302,7 @@ def growthcheck(in_path, in2_path, a, ntrunc, grid_n):
     """Test whether a spectra pair can share a potential (support of w0 + w1)."""
     report = check_growth(_read_pair(in_path, in2_path, a), ntrunc, grid_n)
     status = "PASS" if report.passed else "FAIL"
-    click.echo(
+    _echo(
         f"max |w0 + w1| on (1-a, 1): {report.max_violation:.6e} "
         f"(overall scale {report.scale:.6e})  [{status}]"
     )

@@ -178,12 +178,6 @@ def reference_rho(n: int, alpha) -> complex:
     return (n + 1 - al) * PI
 
 
-def reference_lambda(n: int, alpha) -> complex:
-    """Unperturbed eigenvalue lambda = (reference rho)**2."""
-    r = reference_rho(n, alpha)
-    return r * r
-
-
 def reference_rho_array(count: int, alpha) -> np.ndarray:
     """reference_rho for n < count, bit-identical: (n + al)*PI and
     (n + 1 - al)*PI as Python's complex-times-float multiply rounds them."""
@@ -198,8 +192,8 @@ def reference_rho_array(count: int, alpha) -> np.ndarray:
 
 
 def reference_lambda_array(count: int, alpha) -> np.ndarray:
-    """reference_lambda for n < count, bit-identical: the square is taken in
-    real arithmetic as Python's complex multiply rounds it (numpy's may not)."""
+    """Unperturbed eigenvalues reference_rho(n, alpha)**2, n < count, squared in
+    real arithmetic as Python's complex multiply rounds them (numpy's may not)."""
     out = reference_rho_array(count, alpha)
     x, y = out.real, out.imag
     out.real, out.imag = x * x - y * y, x * y + y * x

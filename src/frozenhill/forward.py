@@ -9,12 +9,15 @@ Their agreement is the central consistency check of the whole package.
 
 On grid samples of w the integral form has one implementation, _SampledDelta,
 shared by eval_delta_fundrep and compute_spectrum (as the cofactor of Delta at
-gamma = +-1).  Delta's integral is a Simpson dot over phi; the cofactor's comes,
-as in the determinant route, from _exp_sums where |rho| >= 1/2.  compute_spectrum
-runs one window loop for every gamma: an FFT check at every reference point,
-Newton in lambda near rho = 0, else Newton in rho on the kernel's exact slope.
-Every value it returns has passed one rule, _accepted: a residual under tol,
-and a root within WINDOW_RADIUS of its reference point; else it raises.
+gamma = +-1).  Delta's integral is a Simpson dot over phi at every rho; the
+cofactor's comes from baby-step/giant-step sums where |rho| >= 1/2, at one rho
+(_exp_sums, as in the determinant route) or at many.  For gamma != +-1
+compute_spectrum runs a window loop: an FFT check at every reference point,
+then Newton in lambda near rho = 0, else Newton in rho on the exact slope.  At
+gamma = +-1 an array Newton in rho over the even windows, its first pass the
+check, hands that loop's Newton only what it does not accept.  Every value
+returned passes one rule, _accepted: a residual under tol and a root within
+WINDOW_RADIUS of its reference point.
 """
 
 from __future__ import annotations
@@ -311,8 +314,9 @@ class _SampledDelta:
     The cofactors (factored=True) solve Delta = lead(rho) * cofactor, where the
     zeros of lead = (2/rho) sin(rho/2) or 2 cos(rho/2) are the degenerate half
     of the spectrum.  They need w(x) = +-w(1-x), which build_w makes exact.
-    Delta's sums are Simpson dots over phi/cos.  The cofactors' run on _exp_sums
-    (anchor 0) where |rho| >= _EXP_KERNEL_MIN_RHO, and on those dots below.
+    Delta's sums are Simpson dots over phi/cos, one rho per call.  The cofactors'
+    run on those dots below |rho| = _EXP_KERNEL_MIN_RHO, above on exponential
+    sums (anchor 0): _exp_sums per call, values_and_slopes per array Newton pass.
     """
 
     def __init__(self, w: Potential, gamma: complex, factored: bool = False):
@@ -323,6 +327,11 @@ class _SampledDelta:
         self.samples = w.samples[span::-1] if factored else w.samples
         if factored:  # c_j and c_j x_j for the exponential sums
             self.c, self.cx = self.wts * self.samples, self.wxs * self.samples
+            b, steps = _baby_giant_steps(len(self.c))
+            self.baby, self.giant = steps[:b], steps[b:]
+            padded = np.zeros((2, len(self.giant), b), dtype=complex)
+            padded.reshape(2, -1)[:, : len(self.c)] = self.c, self.cx
+            self.blocks = np.concatenate(padded, axis=1)  # the blocks of c beside those of c x
         self._last = None, None, None  # (lambda, rho, I) of the latest call, for slope
 
     def __call__(self, lam: complex) -> complex:
@@ -365,6 +374,25 @@ class _SampledDelta:
             der = odd - np.sin(r / 2.0) if self.factored else 2.0 * self.gamma * np.sin(r) - odd
         return complex(der if (r * np.conj(rho)).real >= 0 else -der)
 
+    def values_and_slopes(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cofactor's value and exact slope at each rho of an array, |rho| >=
+        _EXP_KERNEL_MIN_RHO: as in _exp_sums, but the giant steps of every rho and
+        their reciprocals take all four sums of c and c x from one matrix product
+        with the blocks, each block row then dotted with its own baby steps."""
+        arg = -1j * rho / self.n
+        giant = np.exp(np.multiply.outer(arg, self.giant))
+        baby = np.exp(np.multiply.outer(arg, self.baby))
+        prods = np.concatenate((giant, np.reciprocal(giant))) @ self.blocks
+        baby = np.concatenate((baby, np.reciprocal(baby)))
+        sums = prods.reshape(len(baby), 2, len(self.baby)) @ baby[:, :, None]
+        (fwd, fwd_x), (bwd, bwd_x) = sums.reshape(2, len(rho), 2).transpose(0, 2, 1)
+        half = rho / 2.0
+        if self.cosine:
+            value = 2.0 * rho * np.sin(half) - (fwd + bwd) / 2.0
+            return value, 2.0 * np.sin(half) + rho * np.cos(half) + (bwd_x - fwd_x) / 2j
+        part = (bwd - fwd) / (2j * rho)
+        return 2.0 * np.cos(half) + part, ((fwd_x + bwd_x) / 2.0 - part) / rho - np.sin(half)
+
     def _value(self, lam: complex, rho: complex, part: complex) -> complex:
         if not self.factored:
             return complex(delta0(lam, self.gamma) - part)
@@ -378,18 +406,14 @@ class _SampledDelta:
         return 1e-11 * (1.0 + (1.0 + abs(self.gamma)) ** 2)
 
     def passes_at(self, rho0: complex, plus, minus, slack: float, tol: float) -> bool:
-        """Whether Newton's first check accepts rho0, judged from _reference_sums.
+        """Whether Newton's first check on Delta accepts rho0, judged from _reference_sums.
 
         The value is taken at sqrt(rho0^2), where that check evaluates, and
         passes only with the sums' rounding bound to spare.
         """
         lam = rho0 * rho0
-        if self.cosine:
-            part, bound = -(plus + minus) / 2.0, slack
-        else:
-            part, bound = (plus - minus) / (2j * rho0), slack / abs(rho0)
-        value = self._value(lam, np.sqrt(complex(lam)), part)
-        return abs(value) + bound + _ROUNDING_SLACK * tol < tol
+        value = self._value(lam, np.sqrt(complex(lam)), (plus - minus) / (2j * rho0))
+        return abs(value) + slack / abs(rho0) + _ROUNDING_SLACK * tol < tol
 
 
 class _InRho:
@@ -426,9 +450,31 @@ def _newton(g, z0: complex, tol: float, fence: float = math.inf, slope=None):
     return z, abs(g(z)) < tol
 
 
-def _accepted(rho: complex, ok: bool, rho0: complex) -> bool:
-    """The one acceptance rule: a residual under tol (ok) and rho in the window of rho0."""
-    return ok and abs(rho - rho0) <= WINDOW_RADIUS
+def _newton_rows(kernel, z0: np.ndarray, tol: np.ndarray):
+    """_newton with fence 2 pi and the kernel's slope, from every z0 at once:
+    the last iterates and where |g| < tol.  kernel(z) returns g and g' at an
+    array of z.  An iterate with |z| < _EXP_KERNEL_MIN_RHO stops there, failed."""
+    z, ok = z0.copy(), np.zeros(len(z0), dtype=bool)
+    live = np.arange(len(z0))
+    for _ in range(NEWTON_MAX_ITER):
+        val, der = kernel(z[live])
+        done = np.abs(val) < tol[live]
+        ok[live[done]] = True
+        step = ~done & (der != 0)
+        live = live[step]
+        z[live] -= val[step] / der[step]
+        near = np.abs(z[live] - z0[live]) <= 2.0 * PI
+        live = live[near & (np.abs(z[live]) >= _EXP_KERNEL_MIN_RHO)]
+        if not len(live):
+            return z, ok
+    ok[live] = np.abs(kernel(z[live])[0]) < tol[live]
+    return z, ok
+
+
+def _accepted(rho, ok, rho0):
+    """The one acceptance rule: a residual under tol (ok) and rho in the window
+    of rho0; on scalars or elementwise on arrays."""
+    return ok & (abs(rho - rho0) <= WINDOW_RADIUS)
 
 
 def _root_near(lam: complex, rho0: complex) -> complex:
@@ -448,6 +494,15 @@ def _solve_window(g, rho0: complex, tol: float):
     cand_grid = rho0 + offs[:, None] + 1j * offs[None, :]
     seed = cand_grid.flat[np.argmin(np.abs([g(c) for c in cand_grid.flat]))]
     return _newton(g, complex(seed), tol, fence=2.0 * PI, slope=g.slope)
+
+
+def _window_root(delta: _SampledDelta, rho0: complex, tol: float):
+    """rho, ok and lambda for one window: near rho = 0, where g is even in rho
+    and Newton in rho stalls, Newton in lambda; else _solve_window (lambda None)."""
+    if abs(rho0) >= 0.5:
+        return (*_solve_window(_InRho(delta), rho0, tol), None)
+    lam, ok = _newton(delta, rho0 * rho0, tol)
+    return _root_near(lam, rho0), ok, lam
 
 
 def _quadratic_pair_refine(g, rho0_i, rho0_j, tol):
@@ -500,11 +555,6 @@ def _reference_sums(c: np.ndarray, n: int, alpha: AlphaParam, m: int):
       * The Simpson dot, e.g. np.dot(wts, w * sin(rho x) / rho) scaled by |rho|
         to these units, rounds by at most u (2 len(c) + 2 |rho0| + 16) T: the
         summation, plus the rounding u |rho x| of the kernel's argument.
-      * At gamma = +-1 Newton runs _exp_sums instead, on x_j <= 1/2.  Per term,
-        its exponentials' arguments round by 2 u |rho x|, the values by 4 u
-        each, the reciprocals by 3 u more and the two matrix-vector products by
-        (ceil(L'/b) + b + 4) u, L' = len(c): u (b + ceil(L'/b) + |rho0| + 18) T
-        in all, within the dot's bound, as b + ceil(L'/b) <= 2 L' - 2 for L' >= 4.
       * Newton evaluates at rho = sqrt(rho0^2), and |rho - rho0| <= 8 u |rho0|.
         For |rho0| >= 1/2 the sums, and |rho0| times sums / rho, change by at
         most 3 T per unit of rho.
@@ -530,6 +580,28 @@ def _reference_sums(c: np.ndarray, n: int, alpha: AlphaParam, m: int):
     return plus, minus, slack
 
 
+def _cofactor_spectrum(delta: _SampledDelta, alpha: AlphaParam, m: int) -> np.ndarray:
+    """lambda_n, n < m, at gamma = +-1: odd n exactly at the reference, even n
+    roots of the cofactor, by one array Newton from every rho0 with |rho0| >= 1/2
+    (its first pass accepts with no step), then by _window_root, in index
+    order, for each window it does not accept and for rho0 = 0 at gamma = 1."""
+    refs, out = reference_rho_array(m, alpha), reference_lambda_array(m, alpha)
+    even = np.arange(0, m, 2)
+    batch = even[np.abs(refs[even]) >= 0.5]
+    rho0 = refs[batch]
+    rho, ok = _newton_rows(delta.values_and_slopes, rho0, delta.tol(rho0))
+    good = _accepted(rho, ok, rho0)
+    moved = good & (rho != rho0)  # the others keep rho0^2 as reference_lambda_array rounds it
+    out[batch[moved]] = rho[moved] * rho[moved]
+    for idx in np.setdiff1d(even, batch[good]):
+        rho0 = complex(refs[idx])
+        rho, ok, lam = _window_root(delta, rho0, delta.tol(rho0))
+        if not _accepted(rho, ok, rho0):
+            raise RootIsolationError(int(idx))
+        out[idx] = rho * rho if lam is None else lam
+    return out
+
+
 def compute_spectrum(q: Potential, config: FrozenConfig, m: int) -> Spectrum:
     """First m eigenvalues of the frozen-argument problem, indexed by window.
 
@@ -540,32 +612,23 @@ def compute_spectrum(q: Potential, config: FrozenConfig, m: int) -> Spectrum:
     if m < 1:
         raise ConfigError("eigenvalue count m must be positive")
     gamma, alpha = config.gamma, compute_alpha(config.gamma)
-    factored = gamma in (1, -1)
-    delta = _SampledDelta(build_w(q, config), gamma, factored)
+    delta = _SampledDelta(build_w(q, config), gamma, factored=gamma in (1, -1))
+    if delta.factored:
+        return Spectrum(values=_cofactor_spectrum(delta, alpha, m), config=config, alpha=alpha)
     g = _InRho(delta)
     plus, minus, slack = _reference_sums(delta.wts * delta.samples, delta.n, alpha, m)
-    # lambda at gamma = +-1; rho otherwise, squared once at the end
-    out = np.empty(m, dtype=complex)
+    out = np.empty(m, dtype=complex)  # rho, squared once at the end
     refs = np.empty(m, dtype=complex)
     for idx in range(m):
         rho0 = refs[idx] = reference_rho(idx, alpha)
-        if factored and idx % 2 == 1:
-            out[idx] = rho0 * rho0  # degenerate half of the spectrum, emitted exactly
-            continue
-        tol, lam = delta.tol(rho0), None
-        if abs(rho0) < 0.5:
-            # g is even in rho, so Newton in rho stalls near the origin
-            lam, ok = _newton(delta, rho0 * rho0, tol)
-            rho = _root_near(lam, rho0)
-        elif delta.passes_at(rho0, plus[idx], minus[idx], slack[idx], tol):
+        tol = delta.tol(rho0)
+        if abs(rho0) >= 0.5 and delta.passes_at(rho0, plus[idx], minus[idx], slack[idx], tol):
             rho, ok = rho0, True
         else:
-            rho, ok = _solve_window(g, rho0, tol)
+            rho, ok, _ = _window_root(delta, rho0, tol)
         if not _accepted(rho, ok, rho0):
             raise RootIsolationError(idx)
-        out[idx] = (rho * rho if lam is None else lam) if factored else rho
-    if factored:
-        return Spectrum(values=out, config=config, alpha=alpha)
+        out[idx] = rho
     # re-refine nearly coincident converged pairs (near-degenerate gamma).  Only
     # neighbours can qualify: Re alpha lies in [0, 1], so Re rho0 of index k lies
     # in [k pi, (k + 1) pi], and indices of one parity lie exactly 2 pi apart;

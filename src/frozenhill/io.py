@@ -37,12 +37,6 @@ def fmt_complex(z: complex) -> str:
     return f"{fmt_float(z.real)},{fmt_float(z.imag)}"
 
 
-def _rows(fmt: str, *columns) -> str:
-    """One `fmt` line per row of equal-length columns, from a single format call."""
-    cells = [x for row in zip(*columns) for x in row]
-    return fmt * len(columns[0]) % tuple(cells)
-
-
 def parse_complex(text: str, where: str = "value") -> complex:
     parts = text.split(",")
     try:
@@ -108,16 +102,20 @@ def _header_fields(line: str, kind: str, path) -> dict:
 
 
 @lru_cache(maxsize=8)
-def _grid_column(n: int) -> tuple[str, ...]:
-    return tuple(["%.17g" % x for x in np.linspace(0.0, 1.0, n + 1).tolist()])
+def _body_template(rows: int, grid: bool) -> str:
+    """`label %.17g %.17g` for each row j < rows, labelled x_j = j/(rows - 1)
+    (17 digits) if grid, else j: one format call fills a whole data body."""
+    labels = ["%.17g" % x for x in np.linspace(0.0, 1.0, rows).tolist()] if grid else range(rows)
+    return "".join([f"{label} %.17g %.17g\n" for label in labels])
+
+
+def _body(values: np.ndarray, grid: bool) -> str:
+    return _body_template(len(values), grid) % tuple(values.view(float).tolist())
 
 
 def write_potential(path, q: Potential, config: FrozenConfig) -> None:
     header = f"# potential n={q.n} a={fmt_float(config.a)} gamma={fmt_complex(config.gamma)}\n"
-    body = _rows(
-        "%s %.17g %.17g\n", _grid_column(q.n), q.samples.real.tolist(), q.samples.imag.tolist()
-    )
-    Path(path).write_text(header + body)
+    Path(path).write_text(header + _body(q.samples, grid=True))
 
 
 def read_potential(path) -> tuple[Potential, FrozenConfig]:
@@ -155,10 +153,7 @@ def write_spectrum(path, spec: Spectrum) -> None:
         f"gamma={fmt_complex(spec.config.gamma)} "
         f"alpha={fmt_complex(spec.alpha.alpha)} m={len(spec)} a={fmt_float(spec.config.a)}\n"
     )
-    body = _rows(
-        "%d %.17g %.17g\n", range(len(spec)), spec.values.real.tolist(), spec.values.imag.tolist()
-    )
-    Path(path).write_text(header + body)
+    Path(path).write_text(header + _body(spec.values, grid=False))
 
 
 def _check_frozen_point(path, a: float | None, file_a: float | None) -> float:

@@ -15,7 +15,7 @@ truncation depths used in the checks:
 import numpy as np
 
 from frozenhill import FrozenConfig, Potential, SineSeries
-from frozenhill.core import unshift
+from frozenhill.core import reference_rho, unshift
 
 
 def project_out_rows(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -46,6 +46,12 @@ def shift_to_zero(q: Potential, config: FrozenConfig) -> Potential:
     js = np.arange(cut, n + 1)
     out[js] = s[j_a + js - n] / gamma
     return Potential(out)
+
+
+def reference_lambda(n: int, alpha) -> complex:
+    """Unperturbed eigenvalue lambda = (reference rho)**2, in Python's complex multiply."""
+    r = reference_rho(n, alpha)
+    return r * r
 
 
 def random_complex(rng, count, scale=0.7):

@@ -13,6 +13,7 @@ from conftest import (
     gram_entry_by_quadrature,
     half_ratio_potential,
     potential_from_w_coeffs,
+    reference_lambda,
     shift_to_zero,
     sine_poly_potential,
     trig_poly_potential,
@@ -43,7 +44,7 @@ from frozenhill import (
     verify_asymptotics,
 )
 from frozenhill.basis import gram_matrix
-from frozenhill.core import reference_lambda, reference_rho
+from frozenhill.core import reference_rho
 
 PI = np.pi
 

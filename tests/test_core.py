@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import shift_to_zero
+from conftest import reference_lambda, shift_to_zero
 from frozenhill import (
     ConfigError,
     FrozenConfig,
@@ -14,7 +14,6 @@ from frozenhill import (
 from frozenhill.core import (
     SERIES_CUTOFF,
     delta0,
-    reference_lambda,
     reference_lambda_array,
     reference_rho,
     reflect_problem,

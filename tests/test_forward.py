@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     flat_sine_coeffs,
     potential_from_w_coeffs,
+    reference_lambda,
     shift_to_zero,
     sine_poly_potential,
     trig_poly_potential,
@@ -30,8 +31,9 @@ from frozenhill import (
 )
 from frozenhill.core import (
     delta0,
-    reference_lambda,
+    reference_lambda_array,
     reference_rho,
+    reference_rho_array,
     simpson_weights,
 )
 from frozenhill import forward
@@ -345,10 +347,11 @@ class TestKernelSlope:
 
 
 def degenerate_reference(q, cfg, m):
-    """gamma = +-1 eigenvalues solved window by window, Newton from every reference point.
+    """gamma = +-1 eigenvalues solved window by window, Newton from every
+    reference point; raises RootIsolationError for the first window that fails.
 
     The cofactor's sums run on _exp_sums for |rho| >= 1/2 and on Simpson dots
-    over cos/phi below, as in the solver.
+    over cos/phi below, as in the solver's scalar calls.
     """
     w = build_w(q, cfg)
     alpha = compute_alpha(cfg.gamma)
@@ -399,12 +402,28 @@ def degenerate_reference(q, cfg, m):
             lams[idx] = rho0 * rho0
         elif abs(rho0) < 0.5:
             lams[idx], ok = _newton(inner_lam, rho0 * rho0, tol)
-            assert ok
+            if not _accepted(forward._root_near(lams[idx], rho0), ok, rho0):
+                raise RootIsolationError(idx)
         else:
             rho, ok = _solve_window(g, rho0, tol)
-            assert _accepted(rho, ok, rho0)
+            if not _accepted(rho, ok, rho0):
+                raise RootIsolationError(idx)
             lams[idx] = rho * rho
     return lams
+
+
+def bits(values):
+    """The int64 view of complex values, equal exactly where the values are equal bit for bit."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def values_or_index(solve, q, cfg, m):
+    """The eigenvalues, or the index of the RootIsolationError the solve raised."""
+    try:
+        spec = solve(q, cfg, m)
+    except RootIsolationError as err:
+        return err.index
+    return spec.values if isinstance(spec, Spectrum) else spec
 
 
 def generic_reference(q, cfg, m):
@@ -464,17 +483,19 @@ def generic_reference(q, cfg, m):
 
 
 class TestDegenerateFirstPass:
-    """Every solve checks its reference points from one pair of FFTs first."""
+    """A solve at gamma != +-1 checks its reference points from one pair of FFTs
+    first; at gamma = +-1 the array Newton's first pass is the check."""
 
     @pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, 0.5 + 0.5j, -1.05])
     @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75])
     @pytest.mark.parametrize("m", [40, 150])  # m/2 below the grid size 64, then beyond it
     def test_reference_sums_match_direct(self, gamma, a, m):
+        # Delta's weighted samples; the sums hold for any c, the symmetric w of
+        # gamma = +-1 included, though only gamma != +-1 solves read them
         rng = np.random.default_rng(20)
         q = trig_poly_potential(rng, 64, degree=5)
         w = build_w(q, FrozenConfig(a=a, gamma=gamma))
-        # the solver's weighted samples: the cofactor's half profile at gamma = +-1
-        kernel = _SampledDelta(w, gamma, factored=gamma in (1, -1))
+        kernel = _SampledDelta(w, gamma)
         c = kernel.wts * kernel.samples
         xs = np.arange(len(c)) / w.n
         alpha = compute_alpha(gamma)
@@ -487,11 +508,6 @@ class TestDegenerateFirstPass:
             # the bound's shift term: Newton's first check runs at sqrt(rho0^2)
             rho = np.sqrt(complex(rho0 * rho0))
             assert abs(rho - rho0) <= 8 * 2.0**-53 * abs(rho0)
-            if kernel.factored and abs(rho0) >= 0.5:
-                # where the cofactor's own evaluation is the exponential sums
-                fwd, bwd = _exp_sums(c, rho, 0.0, w.n)
-                assert abs(plus[idx] - bwd) <= slack[idx]
-                assert abs(minus[idx] - fwd) <= slack[idx]
 
     @pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, 0.5 + 0.5j])
     def test_reference_check_spares_the_rounding_bound(self, gamma):
@@ -500,16 +516,13 @@ class TestDegenerateFirstPass:
         rng = np.random.default_rng(27)
         q = trig_poly_potential(rng, 64, degree=5)
         w = build_w(q, FrozenConfig(a=0.25, gamma=gamma))
-        kernel = _SampledDelta(w, gamma, factored=gamma in (1, -1))
+        kernel = _SampledDelta(w, gamma)  # Delta's kernel, the only one the check serves
         alpha = compute_alpha(gamma)
         plus, minus, slack = _reference_sums(kernel.wts * kernel.samples, w.n, alpha, 8)
         for idx in (2, 4, 6):  # |rho0| > 2, so dividing a bound by |rho0| shrinks it
             rho0 = reference_rho(idx, alpha)
             # the value and the bound as the check forms them from the two sums
-            if kernel.cosine:
-                part, bound = -(plus[idx] + minus[idx]) / 2.0, slack[idx]
-            else:
-                part, bound = (plus[idx] - minus[idx]) / (2j * rho0), slack[idx] / abs(rho0)
+            part, bound = (plus[idx] - minus[idx]) / (2j * rho0), slack[idx] / abs(rho0)
             lam = rho0 * rho0
             value = abs(kernel._value(lam, np.sqrt(complex(lam)), part))
             args = (rho0, plus[idx], minus[idx], slack[idx])
@@ -527,13 +540,59 @@ class TestDegenerateFirstPass:
         ],
     )
     def test_spectrum_equals_window_loop(self, seed, n, m):
+        # the array Newton against the scalar window loop: the same raise or
+        # return, the values within 1e-12 relative and the odd half to the bit;
+        # the stiff potential raises for some (a, gamma)
         rng = np.random.default_rng(seed)
+        xs = grid(n)
+        stiff = Potential(30.0 * (np.cos(2 * PI * xs) + 0.5j * np.sin(3 * PI * xs)))
+        raised = []
         for a in (0.0, 0.25, 0.75):  # build_w mirrors a = 3/4
-            q = window_flat_potential(rng, a, n)
-            for gamma in (1.0, -1.0):
-                cfg = FrozenConfig(a=a, gamma=gamma)
-                spec = compute_spectrum(q, cfg, m)
-                assert np.array_equal(spec.values, degenerate_reference(q, cfg, m))
+            for q in (window_flat_potential(rng, a, n), stiff):
+                for gamma in (1.0, -1.0):
+                    cfg = FrozenConfig(a=a, gamma=gamma)
+                    got = values_or_index(compute_spectrum, q, cfg, m)
+                    want = values_or_index(degenerate_reference, q, cfg, m)
+                    if isinstance(want, int):
+                        assert type(got) is int and got == want
+                        raised.append(got)
+                        continue
+                    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-12
+                    assert np.array_equal(bits(got[1::2]), bits(want[1::2]))
+        assert 0 < len(raised) < 6
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    def test_first_pass_is_the_check(self, gamma, monkeypatch):
+        # one window's tol set just above, then just below, its |value| at rho0
+        # as the array Newton's first pass computes it: above, the window keeps
+        # rho0^2 as reference_lambda_array rounds it and takes no step; below,
+        # it takes one, and the second pass holds one window more
+        rng = np.random.default_rng(26)
+        cfg, m, idx = FrozenConfig(a=0.25, gamma=gamma), 40, 6
+        q = window_flat_potential(rng, cfg.a, 512)
+        alpha = compute_alpha(gamma)
+        refs, lams = reference_rho_array(m, alpha), reference_lambda_array(m, alpha)
+        batch = refs[2::2] if gamma == 1 else refs[::2]  # window 0 at gamma = 1 runs in lambda
+        kernel = _SampledDelta(build_w(q, cfg), gamma, factored=True)
+        value = abs(kernel.values_and_slopes(batch)[0][np.flatnonzero(batch == refs[idx])[0]])
+        assert value > 1e-6  # far above the rounding of the sums
+        tol, rows = _SampledDelta.tol, _SampledDelta.values_and_slopes
+        second_pass = []
+        for scale in (1 + 1e-9, 1 - 1e-9):
+            passes = []
+            monkeypatch.setattr(
+                _SampledDelta, "tol",
+                lambda self, rho0: np.where(rho0 == refs[idx], scale * value, tol(self, rho0)),
+            )
+            monkeypatch.setattr(
+                _SampledDelta, "values_and_slopes",
+                lambda self, rho: passes.append(len(rho)) or rows(self, rho),
+            )
+            got = compute_spectrum(q, cfg, m).values
+            assert passes[0] == len(batch)
+            second_pass.append(passes[1])
+            assert (bits(got[idx]) == bits(lams[idx])).all() == (scale > 1)
+        assert second_pass[1] == second_pass[0] + 1
 
     @pytest.mark.parametrize(
         "gamma, a, n, m",
@@ -592,11 +651,11 @@ def simpson_dot_slope(self, rho):
     return complex(der if (r * np.conj(rho)).real >= 0 else -der)
 
 
-def spectrum_or_raise(q, cfg, m):
-    try:
-        return compute_spectrum(q, cfg, m).values
-    except RootIsolationError as err:
-        return err.index
+def simpson_dot_rows(self, rho):
+    """values_and_slopes on Simpson dots, one rho at a time."""
+    values = [simpson_dot_call(self, r * r) for r in rho]
+    slopes = [simpson_dot_slope(self, r) for r in rho]
+    return np.array(values, dtype=complex), np.array(slopes, dtype=complex)
 
 
 class TestCofactorKernel:
@@ -633,10 +692,11 @@ class TestCofactorKernel:
         cases = [window_flat_potential(rng, a, 512), trig_poly_potential(rng, 512, degree=4)]
         cases += [Potential(scale * stiff) for scale in (1.0, 10.0, 30.0, 100.0)]
         cfg = FrozenConfig(a=a, gamma=gamma)
-        new = [spectrum_or_raise(q, cfg, 60) for q in cases]
+        new = [values_or_index(compute_spectrum, q, cfg, 60) for q in cases]
         monkeypatch.setattr(_SampledDelta, "__call__", simpson_dot_call)
         monkeypatch.setattr(_SampledDelta, "slope", simpson_dot_slope)
-        old = [spectrum_or_raise(q, cfg, 60) for q in cases]
+        monkeypatch.setattr(_SampledDelta, "values_and_slopes", simpson_dot_rows)
+        old = [values_or_index(compute_spectrum, q, cfg, 60) for q in cases]
         raised = [isinstance(v, int) for v in old]
         assert not all(raised) and (any(raised) or (gamma, a) == (-1.0, 0.0))
         for got, want in zip(new, old):
@@ -647,20 +707,25 @@ class TestCofactorKernel:
 
     def test_delta_never_calls_exp_sums(self, monkeypatch):
         # unfactored Delta (eval_delta_fundrep, compute_spectrum at gamma != +-1)
-        # keeps its Simpson dots; only the cofactor reads the exponential sums
+        # keeps its Simpson dots; only the cofactor reads the exponential sums,
+        # and its solve takes them from the batched kernel
         rng = np.random.default_rng(43)
         q = trig_poly_potential(rng, 256, degree=3)
-        calls = []
-        sums = forward._exp_sums
+        calls, batches = [], []
+        sums, rows = forward._exp_sums, _SampledDelta.values_and_slopes
         monkeypatch.setattr(forward, "_exp_sums", lambda *args: calls.append(1) or sums(*args))
+        monkeypatch.setattr(
+            _SampledDelta, "values_and_slopes",
+            lambda self, rho: batches.append(1) or rows(self, rho),
+        )
         for gamma in (2.0, 0.5 + 0.5j, -1.05, 1.0, -1.0):
             cfg = FrozenConfig(a=0.25, gamma=gamma)
             eval_delta_fundrep(40.0 + 3j, build_w(q, cfg), gamma)
             if gamma not in (1.0, -1.0):
                 compute_spectrum(q, cfg, 20)
-        assert not calls
+        assert not calls and not batches
         compute_spectrum(q, FrozenConfig(a=0.25, gamma=-1.0), 20)
-        assert calls
+        assert batches
 
     @staticmethod
     def _cancelling_error(got, want, scale):
@@ -754,6 +819,29 @@ class TestAcceptanceRule:
         q = Potential(scale * (np.cos(2 * PI * xs) + 0.5j * np.sin(3 * PI * xs)))
         with pytest.raises(RootIsolationError):
             compute_spectrum(q, FrozenConfig(a=0.25, gamma=gamma), 40)
+
+    def test_batch_root_outside_window_raises(self, monkeypatch):
+        # the array Newton converges for window 0, but 1.67 from rho0: outside
+        # the window radius pi/2, inside pi.  The fallback finds no root in the
+        # window either, so the solve raises for index 0, a Python int
+        xs = grid(512)
+        q = Potential(30.0 * (np.cos(2 * PI * xs) + 0.5j * np.sin(3 * PI * xs)))
+        rows, fallbacks = [], []
+        newton_rows, solve = forward._newton_rows, forward._solve_window
+        monkeypatch.setattr(
+            forward, "_newton_rows", lambda *args: rows.append(newton_rows(*args)) or rows[-1]
+        )
+        monkeypatch.setattr(
+            forward, "_solve_window",
+            lambda g, rho0, tol: fallbacks.append(rho0) or solve(g, rho0, tol),
+        )
+        with pytest.raises(RootIsolationError) as err:
+            compute_spectrum(q, FrozenConfig(a=0.25, gamma=-1.0), 40)
+        assert type(err.value.index) is int and err.value.index == 0
+        (rho, ok), = rows
+        rho0 = reference_rho(0, compute_alpha(-1.0))
+        assert ok[0] and PI / 2 < abs(rho[0] - rho0) <= PI
+        assert fallbacks[0] == rho0
 
     @staticmethod
     def _pair_case():

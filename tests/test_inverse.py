@@ -9,6 +9,7 @@ from conftest import (
     flat_sine_coeffs,
     half_ratio_potential,
     potential_from_w_coeffs,
+    reference_lambda,
     shift_to_zero,
     sine_poly_potential,
     trig_poly_potential,
@@ -49,7 +50,6 @@ from frozenhill.core import (
     delta0,
     delta0_d1,
     delta0_d2,
-    reference_lambda,
     reference_lambda_array,
 )
 from frozenhill.inverse import _BLOCK, _delta_and_delta0, _support_report, check_degeneration

@@ -1,8 +1,12 @@
 """Serialisation round trips and CLI exit-code behaviour."""
 
+import contextlib
+import gc
+import io
 import math
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +15,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import half_ratio_potential, potential_from_w_coeffs, flat_sine_coeffs
+from conftest import (
+    flat_sine_coeffs,
+    half_ratio_potential,
+    potential_from_w_coeffs,
+    reference_lambda,
+)
 from frozenhill import (
     ConfigError,
     DegenerateCaseError,
@@ -29,9 +38,7 @@ from frozenhill import (
 )
 from frozenhill import cli
 from frozenhill.cli import main
-from frozenhill.core import reference_lambda
 from frozenhill.io import (
-    _rows,
     fmt_complex,
     fmt_float,
     read_operator,
@@ -40,6 +47,12 @@ from frozenhill.io import (
     write_potential,
     write_spectrum,
 )
+
+
+def _rows(fmt: str, *columns) -> str:
+    """One `fmt` line per row of equal-length columns, from a single format call."""
+    cells = [x for row in zip(*columns) for x in row]
+    return fmt * len(columns[0]) % tuple(cells)
 
 
 def write_operator(path, op: OperatorSpec) -> None:
@@ -674,6 +687,25 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,lower,upper,condition"
         assert len(lines) == 4  # N = 4, 8, 16
+
+    @pytest.mark.parametrize(
+        "args, redirect",
+        [
+            (["basischeck", "--gamma", "2", "--m", "8"], contextlib.redirect_stdout),
+            (["basischeck", "--gamma", "2", "--m", "2"], contextlib.redirect_stderr),  # exit 3
+        ],
+    )
+    def test_in_process_call_releases_its_stream(self, args, redirect):
+        # the benchmark and library callers run main in one process, each call
+        # under its own stream; echoing must not keep that stream alive
+        stream = io.StringIO()
+        with redirect(stream), contextlib.suppress(SystemExit):
+            main(args=args, prog_name="frozenhill", standalone_mode=False)
+        assert stream.getvalue()
+        ref = weakref.ref(stream)
+        del stream
+        gc.collect()
+        assert ref() is None
 
     def test_growthcheck_pass_and_fail(self, runner, tmp_path):
         xs = np.linspace(0, 1, 513)

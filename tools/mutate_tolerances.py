@@ -9,8 +9,10 @@ unmutated copy runs first and must pass, or no verdict means anything.
     python3 tools/mutate_tolerances.py                      # every mutant
     python3 tools/mutate_tolerances.py _SINGULAR_TOL SNAP_TOL
 
-Standard library only.  It takes about as long as one tier-1 run per mutant,
-so it is not a CI step; add a row to MUTANTS for every new tolerance.
+Exit status: 0 when every chosen mutant is killed, 1 when one survives, 2
+when the unmutated copy fails.  Standard library only.  It takes about as
+long as one tier-1 run per mutant, so CI runs it only on the constants of
+the forward root search; add a row to MUTANTS for every new tolerance.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def main(argv=None) -> int:
             verdict = "survived" if passed else f"killed   {summary}"
             print(f"{module}.{name}: {old} -> {new}: {verdict}", flush=True)
         print(f"{len(chosen) - survivors} killed, {survivors} survived of {len(chosen)}")
-    return 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":
